@@ -160,8 +160,8 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        // One single-line record appended after search_time's (vendored
-        // serde is a no-op stub, so the record is assembled by hand).
+        // One single-line record appended after search_time's, assembled
+        // by hand (the workspace has no JSON serializer).
         let record = format!(
             concat!(
                 "{{\"bench\":\"fig20_fault\",\"smoke\":{},\"fault_models\":{},",

@@ -1,16 +1,17 @@
 //! §VIII-H: DLS search time vs the exact (ILP-style) baseline, plus the
-//! search-pipeline regression benchmark: serial vs scoped-thread vs
-//! work-stealing-pool candidate costing, the two-tier surrogate gate vs
-//! exhaustive exact costing, the candidate-cache hit rate of the
-//! seven-system sweep, and the persisted-cache warm start over the fig13
-//! zoo.
+//! search-pipeline regression benchmark: serial vs work-stealing-pool
+//! candidate costing, bound-pruned vs exhaustive solves (single wafer,
+//! the MoE chain), the multi-wafer sweep, the candidate-cache hit rate of
+//! the seven-system sweep, and the persisted-cache warm start over the
+//! fig13 zoo.
 //!
 //! Machine-readable results are emitted as single-line JSON records
 //! (prefix `{"bench":"search_time",...}`) for the bench trajectory.
 //! With `--json <path>` the binary additionally writes one consolidated
 //! `BENCH_search.json` record so the perf trajectory is machine-tracked
-//! across PRs. With `--check <path>` the fresh gated eval counts are
-//! diffed against a committed baseline record (>20% regression fails),
+//! across PRs. With `--check <path>` the fresh exact eval counts (pruned
+//! single-wafer solve, multi-wafer sweep, MoE chain) are diffed against a
+//! committed baseline record (>20% regression fails),
 //! the warm start must replay with ≤10% of the cold evaluations, and on
 //! a ≥4-core runner the pool must beat serial costing by >1.5x — the CI
 //! bench-regression gates. With `--warm-smoke --cache-dir <dir>` the
@@ -31,7 +32,7 @@ use temp_solver::cost::WaferCostModel;
 use temp_solver::dlws::Dlws;
 use temp_solver::dp::solve_chain;
 use temp_solver::ilp::solve_exact;
-use temp_solver::par::{available_workers, par_map_scoped};
+use temp_solver::par::available_workers;
 use temp_solver::pool::ContextPool;
 use temp_solver::search::SearchContext;
 use temp_wsc::config::WaferConfig;
@@ -51,8 +52,8 @@ fn fresh_solver() -> Dlws {
     )
 }
 
-/// Pulls an integer field out of a one-record bench JSON line without a
-/// JSON parser (the vendored serde stand-in cannot deserialize).
+/// Pulls an integer field out of a one-record bench JSON line (the
+/// workspace has no JSON parser).
 /// Tolerates whitespace after the colon so a pretty-printed or
 /// hand-edited baseline still parses.
 fn json_u64_field(record: &str, field: &str) -> Option<u64> {
@@ -252,12 +253,12 @@ fn main() {
         .map(|path| {
             let record = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("read bench baseline {path}: {e}"));
-            let evals = json_u64_field(&record, "gated_evals")
-                .unwrap_or_else(|| panic!("no gated_evals field in {path}"));
-            let mw_evals = json_u64_field(&record, "multiwafer_gated_evals")
-                .unwrap_or_else(|| panic!("no multiwafer_gated_evals field in {path}"));
-            let moe_evals = json_u64_field(&record, "moe_gated_evals")
-                .unwrap_or_else(|| panic!("no moe_gated_evals field in {path}"));
+            let evals = json_u64_field(&record, "pruned_solve_evals")
+                .unwrap_or_else(|| panic!("no pruned_solve_evals field in {path}"));
+            let mw_evals = json_u64_field(&record, "multiwafer_exact_evals")
+                .unwrap_or_else(|| panic!("no multiwafer_exact_evals field in {path}"));
+            let moe_evals = json_u64_field(&record, "moe_exact_evals")
+                .unwrap_or_else(|| panic!("no moe_exact_evals field in {path}"));
             let pruned_candidates = json_u64_field(&record, "pruned_candidates")
                 .unwrap_or_else(|| panic!("no pruned_candidates field in {path}"));
             let campaign_s = json_f64_field(&record, "campaign_s")
@@ -292,11 +293,10 @@ fn main() {
         stats.hits,
         stats.misses
     );
-    let (enum_s, bound_s, exact_s, gate_fit_s, contention_s) = stats.phase_seconds();
+    let (enum_s, bound_s, exact_s, contention_s) = stats.phase_seconds();
     println!(
         "phases: enumerate {enum_s:.4} s, bound {bound_s:.4} s, exact {exact_s:.4} s, \
-         gate-fit {gate_fit_s:.4} s, contention {contention_s:.4} s \
-         ({} bound-pruned + {} dominated)",
+         contention {contention_s:.4} s ({} bound-pruned + {} dominated)",
         stats.bound_pruned, stats.dominated_pruned
     );
     println!(
@@ -305,7 +305,7 @@ fn main() {
         plan.config.label()
     );
 
-    header("search pipeline: serial vs scoped-thread vs work-stealing-pool costing");
+    header("search pipeline: serial vs work-stealing-pool costing");
     let threads = available_workers();
     // What the work-stealing runtime actually brought up — the figure CI
     // legs pin via TEMP_THREADS and the one every parallel claim is
@@ -319,15 +319,6 @@ fn main() {
     let _ = serial_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
     let serial_s = t0.elapsed().as_secs_f64();
 
-    // Scoped-thread baseline: the seed's spawn-per-call strategy, kept
-    // so the pool's win over it is measured, not assumed.
-    let scoped_ctx = context();
-    let t0 = Instant::now();
-    let _ = par_map_scoped(threads, &candidates, |c| {
-        scoped_ctx.cost_of(c, MappingEngine::Tcme)
-    });
-    let scoped_s = t0.elapsed().as_secs_f64();
-
     // Pool path: what `cost_candidates` actually runs in production —
     // the persistent work-stealing runtime behind `par_map`.
     let pool_ctx = context();
@@ -335,41 +326,39 @@ fn main() {
     let _ = pool_ctx.cost_candidates(&candidates, MappingEngine::Tcme);
     let pool_s = t0.elapsed().as_secs_f64();
 
-    let speedup = serial_s / scoped_s.max(1e-9);
     let pool_speedup = serial_s / pool_s.max(1e-9);
     println!(
-        "{} candidates, {threads} worker thread(s): serial {serial_s:.3} s, scoped {scoped_s:.3} s ({speedup:.2}x), pool {pool_s:.3} s ({pool_speedup:.2}x)",
+        "{} candidates, {threads} worker thread(s): serial {serial_s:.3} s, pool {pool_s:.3} s ({pool_speedup:.2}x)",
         candidates.len()
     );
     if threads == 1 {
-        println!("(single core: both parallel paths degrade to the serial loop by design)");
+        println!("(single core: the pool degrades to the serial loop by design)");
     }
     println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"costing\",\"candidates\":{},\"threads\":{threads},\"serial_s\":{serial_s:.6},\"scoped_s\":{scoped_s:.6},\"pool_s\":{pool_s:.6},\"speedup\":{speedup:.4},\"pool_speedup\":{pool_speedup:.4}}}",
+        "{{\"bench\":\"search_time\",\"metric\":\"costing\",\"candidates\":{},\"threads\":{threads},\"serial_s\":{serial_s:.6},\"pool_s\":{pool_s:.6},\"pool_speedup\":{pool_speedup:.4}}}",
         candidates.len()
     );
 
-    header("two-tier search: surrogate gate vs exhaustive exact costing");
-    // Cold full-sweep solves on fresh contexts: the exact path costs every
-    // candidate, the gated path exact-costs only the stride-sampled
-    // training set plus the surrogate's top-K survivors.
+    header("single-wafer solve: bound-pruned vs exhaustive exact costing");
+    // A cold pruned solve on a fresh context, then the exhaustive solve on
+    // the same context: it re-costs exactly the pruned holes, so a wrongly
+    // pruned optimum would change the plan, and the comparison is
+    // bit-exact (the winning report is the same cached evaluation).
     let exact_solver = fresh_solver();
     let t0 = Instant::now();
     let exact_plan = exact_solver.solve().expect("feasible");
     let exact_cold_s = t0.elapsed().as_secs_f64();
     let exact_stats = exact_solver.search_stats();
-
-    let gated_solver = fresh_solver().with_surrogate_gate();
-    let t0 = Instant::now();
-    let gated_plan = gated_solver.solve().expect("feasible");
-    let gated_cold_s = t0.elapsed().as_secs_f64();
-    let gated_stats = gated_solver.search_stats();
-
-    let gated_speedup = exact_cold_s / gated_cold_s.max(1e-9);
-    let plans_match = exact_plan == gated_plan;
+    let pruned_solve_evals = exact_stats.misses;
+    exact_solver.context().set_pruning(false);
+    let exhaustive_plan = exact_solver.solve().expect("feasible");
+    let exhaustive_solve_evals = exact_solver.search_stats().misses;
+    let plans_match = exact_plan == exhaustive_plan;
     println!(
-        "exact cold solve {exact_cold_s:.3} s ({} evals) -> {} (chain cost {:.4} s{})",
-        exact_stats.misses,
+        "pruned cold solve {exact_cold_s:.3} s ({pruned_solve_evals} evals, {} pruned) -> {} \
+         (chain cost {:.4} s{}); exhaustive {exhaustive_solve_evals} evals, plans match: \
+         {plans_match}",
+        exact_stats.pruned_candidates(),
         exact_plan.config.label(),
         exact_plan.chain_cost,
         if exact_plan.is_heterogeneous() {
@@ -379,22 +368,13 @@ fn main() {
         }
     );
     println!(
-        "gated cold solve {gated_cold_s:.3} s ({} evals, {} pruned, adaptive K {}) -> {} ({gated_speedup:.2}x, plans match: {plans_match})",
-        gated_stats.misses,
-        gated_stats.gate_pruned,
-        gated_stats.adaptive_top_k,
-        gated_plan.config.label()
-    );
-    println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"surrogate_gate\",\"exact_cold_s\":{exact_cold_s:.6},\"gated_cold_s\":{gated_cold_s:.6},\"speedup\":{gated_speedup:.4},\"gate_pruned\":{},\"adaptive_top_k\":{},\"plans_match\":{plans_match}}}",
-        gated_stats.gate_pruned, gated_stats.adaptive_top_k
+        "{{\"bench\":\"search_time\",\"metric\":\"single_wafer\",\"pruned_cold_s\":{exact_cold_s:.6},\"pruned_evals\":{pruned_solve_evals},\"exhaustive_evals\":{exhaustive_solve_evals},\"plans_match\":{plans_match}}}"
     );
 
-    header("multi-wafer sweep: per-degree gated batch mode vs exact");
-    // Fresh frameworks so both sweeps cost from cold caches. The gated
-    // sweep runs the surrogate gate once per pipeline degree (per-degree
-    // batch mode: each degree ranked and shortlisted on its own, so the
-    // winner-retention guarantee holds per solve).
+    header("multi-wafer sweep: exact costing of every pipeline degree");
+    // A fresh framework so the sweep costs from cold caches: the pp = 1
+    // group rides the bound-pruned chain path, the partitioned degrees
+    // one exhaustive batch their stage DP needs.
     use temp_core::baselines::BaselineSystem;
     let sweep_wafers = [2usize, 4];
     let sweep_multipliers = [1usize];
@@ -407,49 +387,19 @@ fn main() {
     );
     let exact_sweep_s = t0.elapsed().as_secs_f64();
     let exact_sweep_evals = exact_temp.search_stats().misses;
-
-    let gated_temp = Temp::hpca(ModelZoo::gpt3_6_7b()).with_surrogate_gate();
-    let t0 = Instant::now();
-    let gated_entries = gated_temp.evaluate_multiwafer_sweep(
-        &BaselineSystem::temp(),
-        &sweep_wafers,
-        &sweep_multipliers,
-    );
-    let gated_sweep_s = t0.elapsed().as_secs_f64();
-    let mw_gated_stats = gated_temp.search_stats();
-    let mw_gated_evals = mw_gated_stats.misses;
-
-    // Winner retention across the sweep: every point's body strategy and
-    // stage cuts must match the exact sweep's (bit-exact equality needs a
-    // shared context; tests/two_tier.rs asserts that form).
-    let mw_plans_match = exact_entries.len() == gated_entries.len()
-        && exact_entries.iter().zip(&gated_entries).all(|(e, g)| {
-            e.report
-                .plan
-                .as_ref()
-                .map(|p| (p.body.config, p.blocks_per_stage()))
-                == g.report
-                    .plan
-                    .as_ref()
-                    .map(|p| (p.body.config, p.blocks_per_stage()))
-        });
-    let mw_speedup = exact_sweep_s / gated_sweep_s.max(1e-9);
     println!(
         "exact sweep {exact_sweep_s:.3} s ({exact_sweep_evals} evals) over {} points",
         exact_entries.len()
     );
     println!(
-        "gated sweep {gated_sweep_s:.3} s ({mw_gated_evals} evals, {} pruned) -> {mw_speedup:.2}x, plans match: {mw_plans_match}",
-        mw_gated_stats.gate_pruned
-    );
-    println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"multiwafer_sweep\",\"exact_s\":{exact_sweep_s:.6},\"gated_s\":{gated_sweep_s:.6},\"exact_evals\":{exact_sweep_evals},\"gated_evals\":{mw_gated_evals},\"plans_match\":{mw_plans_match}}}"
+        "{{\"bench\":\"search_time\",\"metric\":\"multiwafer_sweep\",\"exact_s\":{exact_sweep_s:.6},\"exact_evals\":{exact_sweep_evals},\"points\":{}}}",
+        exact_entries.len()
     );
 
-    header("MoE chain: gated vs exact on the fine-grained expert config");
-    // A mixed dense/MoE chain (DeepSeek-style, 64 experts): the gate
-    // trains on the dense block-only residual and adds the closed-form
-    // segment rows, so the expert-parallel winner survives the shortlist.
+    header("MoE chain: bound-pruned vs exhaustive on the fine-grained expert config");
+    // A mixed dense/MoE chain (DeepSeek-style, 64 experts): the cold
+    // pruned solve on a fresh context counts the exact evals, then the
+    // exhaustive solve on the same context must keep the plan.
     let moe_model = ModelZoo::deepseek_moe_16b();
     let moe_ctx = std::sync::Arc::new(SearchContext::new(WaferCostModel::new(
         WaferConfig::hpca(),
@@ -457,28 +407,26 @@ fn main() {
         Workload::for_model(&moe_model),
     )));
     let moe_solver = Dlws::from_context(moe_ctx.clone());
-    moe_ctx.set_cost_tier(temp_solver::search::CostTier::SurrogateGated);
     let t0 = Instant::now();
-    let moe_gated_plan = moe_solver.solve().expect("gated MoE plan");
-    let moe_gated_s = t0.elapsed().as_secs_f64();
-    let moe_gated_evals = moe_ctx.stats().misses;
-    moe_ctx.set_cost_tier(temp_solver::search::CostTier::Exact);
-    let t0 = Instant::now();
-    let moe_exact_plan = moe_solver.solve().expect("exact MoE plan");
-    let moe_exact_s = t0.elapsed().as_secs_f64();
+    let moe_pruned_plan = moe_solver.solve().expect("pruned MoE plan");
+    let moe_pruned_s = t0.elapsed().as_secs_f64();
     let moe_exact_evals = moe_ctx.stats().misses;
-    let moe_plans_match = moe_gated_plan == moe_exact_plan;
-    let moe_ep = moe_exact_plan
+    moe_ctx.set_pruning(false);
+    let moe_exhaustive_plan = moe_solver.solve().expect("exhaustive MoE plan");
+    let moe_exhaustive_evals = moe_ctx.stats().misses;
+    let moe_plans_match = moe_pruned_plan == moe_exhaustive_plan;
+    let moe_ep = moe_pruned_plan
         .segments
         .iter()
         .find(|s| s.kind == temp_graph::segment::SegmentKind::MoeBlock)
         .map(|s| s.config.ep)
         .unwrap_or(1);
     println!(
-        "gated cold solve {moe_gated_s:.3} s ({moe_gated_evals} evals) vs exact warm {moe_exact_s:.3} s ({moe_exact_evals} total) -> MoE run ep={moe_ep}, plans match: {moe_plans_match}"
+        "pruned cold solve {moe_pruned_s:.3} s ({moe_exact_evals} evals) vs exhaustive \
+         {moe_exhaustive_evals} total -> MoE run ep={moe_ep}, plans match: {moe_plans_match}"
     );
     println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"moe_gate\",\"gated_s\":{moe_gated_s:.6},\"gated_evals\":{moe_gated_evals},\"exact_evals\":{moe_exact_evals},\"moe_ep\":{moe_ep},\"plans_match\":{moe_plans_match}}}"
+        "{{\"bench\":\"search_time\",\"metric\":\"moe_chain\",\"pruned_s\":{moe_pruned_s:.6},\"exact_evals\":{moe_exact_evals},\"exhaustive_evals\":{moe_exhaustive_evals},\"moe_ep\":{moe_ep},\"plans_match\":{moe_plans_match}}}"
     );
 
     header("candidate cache: the seven-system compare_all sweep");
@@ -510,25 +458,10 @@ fn main() {
         "second sweep {second_sweep_s:.3} s ({second_misses} new misses, hit rate {:.1}%)",
         100.0 * second_hit_rate
     );
-    // Per-tier attribution: the 0.10 headline rate is the cold pass
-    // diluting the ratio — the exact tier itself, and the warm replay
-    // above all, sit far higher.
     println!(
-        "per-tier: exact {}/{} ({:.1}%), gated {}/{} ({:.1}%), segment-table hits {}",
-        after_second.exact_hits,
-        after_second.exact_hits + after_second.exact_misses,
-        100.0 * after_second.exact_hit_rate(),
-        after_second.gated_hits,
-        after_second.gated_hits + after_second.gated_misses,
-        100.0 * after_second.gated_hit_rate(),
-        after_second.seg_hits
-    );
-    println!(
-        "{{\"bench\":\"search_time\",\"metric\":\"cache\",\"first_sweep_s\":{first_sweep_s:.6},\"second_sweep_s\":{second_sweep_s:.6},\"first_sweep_misses\":{},\"first_sweep_hits\":{},\"second_sweep_hit_rate\":{second_hit_rate:.4},\"exact_hit_rate\":{:.4},\"gated_hit_rate\":{:.4},\"seg_hits\":{}}}",
+        "{{\"bench\":\"search_time\",\"metric\":\"cache\",\"first_sweep_s\":{first_sweep_s:.6},\"second_sweep_s\":{second_sweep_s:.6},\"first_sweep_misses\":{},\"first_sweep_hits\":{},\"second_sweep_hit_rate\":{second_hit_rate:.4},\"seg_hits\":{}}}",
         after_first.misses,
         after_first.hits,
-        after_second.exact_hit_rate(),
-        after_second.gated_hit_rate(),
         after_second.seg_hits
     );
 
@@ -594,7 +527,7 @@ fn main() {
         let ctx = pruned_pool.context(&model, &workload);
         let s = ctx.stats();
         pruned_candidates += s.pruned_candidates();
-        let (_, b, e, _, _) = s.phase_seconds();
+        let (_, b, e, _) = s.phase_seconds();
         zoo_bound_s += b;
         zoo_exact_s += e;
         let (h, m) = ctx.cost_model().collective_memo_stats();
@@ -678,7 +611,7 @@ fn main() {
         "{{\"bench\":\"search_time\",\"metric\":\"campaign\",\"campaign_s\":{campaign_s:.6},\"lanes\":{campaign_lanes},\"seeds\":{campaign_seeds},\"threads_effective\":{threads_effective}}}"
     );
 
-    header("chain assignment: DP (DLS level 1) vs exact branch-and-bound (ILP stand-in)");
+    header("chain assignment: DP (DLS chain search) vs exact branch-and-bound (ILP stand-in)");
     println!(
         "{:>9} {:>12} {:>14} {:>10}",
         "segments", "DP time s", "exact time s", "speedup"
@@ -712,21 +645,18 @@ fn main() {
 
     if let Some(path) = json_path {
         // One consolidated record per run so the perf trajectory is
-        // machine-tracked across PRs (vendored serde is a no-op stub, so
-        // the record is assembled by hand).
+        // machine-tracked across PRs, assembled by hand (the workspace
+        // has no JSON serializer).
         let record = format!(
             concat!(
                 "{{\"bench\":\"search_time\",\"model\":\"GPT-3 6.7B\",\"threads\":{},",
                 "\"threads_effective\":{},",
-                "\"serial_s\":{:.6},\"scoped_s\":{:.6},\"pool_s\":{:.6},",
-                "\"parallel_speedup\":{:.4},\"pool_speedup\":{:.4},",
-                "\"exact_cold_s\":{:.6},\"gated_cold_s\":{:.6},\"gated_speedup\":{:.4},",
-                "\"gated_evals\":{},\"gate_pruned\":{},\"adaptive_top_k\":{},",
-                "\"plans_match\":{},\"multiwafer_gated_evals\":{},",
-                "\"multiwafer_exact_evals\":{},\"multiwafer_plans_match\":{},",
-                "\"moe_gated_evals\":{},\"moe_exact_evals\":{},\"moe_plans_match\":{},",
-                "\"sweep_cache_hit_rate\":{:.4},\"sweep_exact_hit_rate\":{:.4},",
-                "\"sweep_gated_hit_rate\":{:.4},\"sweep_seg_hits\":{},",
+                "\"serial_s\":{:.6},\"pool_s\":{:.6},\"pool_speedup\":{:.4},",
+                "\"pruned_cold_s\":{:.6},\"pruned_solve_evals\":{},",
+                "\"exhaustive_solve_evals\":{},\"plans_match\":{},",
+                "\"multiwafer_exact_evals\":{},",
+                "\"moe_exact_evals\":{},\"moe_exhaustive_evals\":{},\"moe_plans_match\":{},",
+                "\"sweep_cache_hit_rate\":{:.4},\"sweep_seg_hits\":{},",
                 "\"cold_evals\":{},\"warm_evals\":{},\"warm_plans_match\":{},",
                 "\"exhaustive_zoo_s\":{:.6},\"pruned_zoo_s\":{:.6},",
                 "\"prune_speedup\":{:.4},\"exhaustive_evals\":{},\"pruned_evals\":{},",
@@ -739,26 +669,17 @@ fn main() {
             threads,
             threads_effective,
             serial_s,
-            scoped_s,
             pool_s,
-            speedup,
             pool_speedup,
             exact_cold_s,
-            gated_cold_s,
-            gated_speedup,
-            gated_stats.misses,
-            gated_stats.gate_pruned,
-            gated_stats.adaptive_top_k,
+            pruned_solve_evals,
+            exhaustive_solve_evals,
             plans_match,
-            mw_gated_evals,
             exact_sweep_evals,
-            mw_plans_match,
-            moe_gated_evals,
             moe_exact_evals,
+            moe_exhaustive_evals,
             moe_plans_match,
             after_first.hit_rate(),
-            after_second.exact_hit_rate(),
-            after_second.gated_hit_rate(),
             after_second.seg_hits,
             cold_evals,
             warm_evals,
@@ -800,14 +721,19 @@ fn main() {
         baseline_campaign_s,
     )) = check_baseline
     {
-        // Bench-regression gate: fail when the gated search — single
-        // wafer, the multi-wafer sweep, or the MoE chain — needs >20%
-        // more exact evaluations than the committed baseline record.
+        // Bench-regression gate: fail when the exact search — the
+        // pruned single-wafer solve, the multi-wafer sweep, or the cold
+        // MoE chain — needs >20% more exact evaluations than the
+        // committed baseline record.
         let mut failed = false;
         for (what, fresh, baseline) in [
-            ("gated_evals", gated_stats.misses, baseline_evals),
-            ("multiwafer_gated_evals", mw_gated_evals, baseline_mw_evals),
-            ("moe_gated_evals", moe_gated_evals, baseline_moe_evals),
+            ("pruned_solve_evals", pruned_solve_evals, baseline_evals),
+            (
+                "multiwafer_exact_evals",
+                exact_sweep_evals,
+                baseline_mw_evals,
+            ),
+            ("moe_exact_evals", moe_exact_evals, baseline_moe_evals),
         ] {
             let limit = (baseline as f64 * 1.2).ceil() as u64;
             println!(

@@ -16,13 +16,11 @@
 //! DLWS machinery, so differences come from the *space* and the *mapper*,
 //! not the search.
 
-use serde::{Deserialize, Serialize};
-
 use temp_mapping::engines::MappingEngine;
 use temp_parallel::strategy::HybridConfig;
 
 /// Partitioning scheme families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Partitioner {
     /// Megatron-LM v1: DP + TP (+PP across wafers).
     Megatron1,
@@ -71,7 +69,7 @@ impl std::fmt::Display for Partitioner {
 }
 
 /// A complete compared system: partitioner + mapping engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BaselineSystem {
     /// Partitioning scheme.
     pub partitioner: Partitioner,

@@ -7,14 +7,12 @@
 //! at 25% core faults) versus a throughput cliff once link faults break
 //! mesh connectivity (at ~35% and beyond).
 
-use serde::{Deserialize, Serialize};
-
 use temp_wsc::config::WaferConfig;
 use temp_wsc::fault::FaultMap;
 use temp_wsc::topology::Mesh;
 
 /// Outcome of adapting a plan to a faulty wafer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultAdaptation {
     /// Throughput relative to the fault-free wafer, in `[0, 1]`.
     pub relative_throughput: f64,

@@ -6,13 +6,11 @@
 //! all-to-all fabric (no mesh contention, any ring is "physical") but far
 //! lower per-accelerator interconnect bandwidth than the wafer's D2D links.
 
-use serde::{Deserialize, Serialize};
-
 use temp_graph::models::ModelConfig;
 use temp_graph::workload::{RecomputeMode, Workload};
 
 /// A switched GPU cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuCluster {
     /// Number of GPUs.
     pub gpus: usize,
@@ -40,7 +38,7 @@ impl Default for GpuCluster {
 }
 
 /// A GPU cluster evaluation result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuReport {
     /// Step time in seconds.
     pub step_time: f64,

@@ -6,13 +6,11 @@
 //! that: it cuts the topological order at every point not straddled by a
 //! residual edge.
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::Operator;
 use crate::{GraphError, Result};
 
 /// Index of an operator inside a [`ComputeGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub usize);
 
 impl OpId {
@@ -30,7 +28,7 @@ impl std::fmt::Display for OpId {
 
 /// A directed acyclic graph of operators. Nodes are stored in construction
 /// order, which the builders guarantee to be a valid topological order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ComputeGraph {
     ops: Vec<Operator>,
     /// Dataflow edges `(from, to)` with `from < to`.

@@ -1,8 +1,6 @@
 //! The LLM model zoo: Table II configurations plus the motivation and
 //! scalability models referenced in Figs. 4, 7 and 19.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GraphError, Result};
 
 /// Mixture-of-Experts configuration of a model's MoE blocks.
@@ -18,7 +16,7 @@ use crate::{GraphError, Result};
 /// Following the DeepSeek-MoE convention, the first `dense_layers` layers
 /// stay dense (a purely dense stem stabilizes routing), so every MoE
 /// model yields a *mixed* dense/MoE segment chain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoeConfig {
     /// Expert count E per MoE layer.
     pub num_experts: u64,
@@ -58,7 +56,7 @@ impl MoeConfig {
 }
 
 /// Architecture of a decoder-only Transformer LLM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable name ("GPT-3 175B").
     pub name: String,

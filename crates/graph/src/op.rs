@@ -5,12 +5,10 @@
 //! reports FLOPs and byte footprints; GEMM-like operators expose their
 //! (B, M, N, K) dims for the partitioning machinery.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tensor::{DType, LinearDims};
 
 /// The operator vocabulary of the Fig. 12(a) Transformer block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OpKind {
     /// Dense matrix multiply `O[B,M,K] = I[B,M,N] x W[N,K]` with trained
     /// weights (QKV projection, output projection, FC1, FC2).
@@ -138,7 +136,7 @@ impl OpKind {
 }
 
 /// A named operator node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Operator {
     /// Human-readable name ("qkv", "softmax", "fc1", ...).
     pub name: String,

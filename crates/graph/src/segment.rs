@@ -27,8 +27,6 @@
 //! non-negative transition costs a uniform within-run assignment is
 //! optimal, so the compressed DP is exact.
 
-use serde::{Deserialize, Serialize};
-
 use crate::models::ModelConfig;
 use crate::op::Operator;
 use crate::transformer::TransformerBuilder;
@@ -38,7 +36,7 @@ use crate::workload::Workload;
 ///
 /// `Hash`/`Eq` because the solver memoizes per-segment costs under the key
 /// `(SegmentKind, HybridConfig, MappingEngine, RecomputeMode)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SegmentKind {
     /// Token-embedding lookup (vocab x H table).
     Embedding,
@@ -55,7 +53,7 @@ pub enum SegmentKind {
 impl SegmentKind {
     /// Every segment kind, in the one canonical order. [`SegmentKind::index`]
     /// is defined as the position in this array; anything that needs a
-    /// dense per-kind table (cost-table keys, surrogate features) must go
+    /// dense per-kind table (cost-table keys, persisted records) must go
     /// through it so adding a kind cannot desynchronize consumers.
     pub const ALL: [SegmentKind; 4] = [
         SegmentKind::Embedding,
@@ -76,8 +74,8 @@ impl SegmentKind {
         }
     }
 
-    /// Stable small-integer encoding for surrogate features (derived from
-    /// the canonical [`SegmentKind::index`]).
+    /// Stable small-integer encoding for persisted cost tables (derived
+    /// from the canonical [`SegmentKind::index`]).
     pub fn code(&self) -> u8 {
         self.index() as u8
     }
@@ -96,7 +94,7 @@ impl std::fmt::Display for SegmentKind {
 }
 
 /// One run of identical segments in the chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// What kind of segment this is.
     pub kind: SegmentKind,
@@ -122,7 +120,7 @@ pub struct Segment {
 }
 
 /// The whole-model segment chain: embedding -> blocks -> head.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentChain {
     segments: Vec<Segment>,
 }

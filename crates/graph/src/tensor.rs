@@ -5,10 +5,8 @@
 //! and **K** (output hidden/intermediate). A linear operator computes
 //! `O[B, M, K] = I[B, M, N] x W[N, K]` (Eq. 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric precision of a tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DType {
     /// IEEE half precision — the paper's training dtype for weights and
     /// activations.
@@ -41,7 +39,7 @@ impl std::fmt::Display for DType {
 }
 
 /// The four named parallelizable axes of the unified representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// Batch dimension (split by DP).
     B,
@@ -65,7 +63,7 @@ impl std::fmt::Display for Axis {
 }
 
 /// Dimensions of a linear operator `O[B, M, K] = I[B, M, N] x W[N, K]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinearDims {
     /// Batch size (independent GEMMs).
     pub b: u64,

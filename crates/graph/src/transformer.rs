@@ -22,8 +22,6 @@
 //! Residual edges span 0→7 (around MHA) and 7→12 (around FFN), so one block
 //! forms a single DLS segment; segment boundaries fall between blocks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{ComputeGraph, OpId};
 use crate::models::ModelConfig;
 use crate::op::{OpKind, Operator};
@@ -32,7 +30,7 @@ use crate::workload::Workload;
 
 /// Attention implementation choice (§VII-A: TEMP integrates FlashAttention
 /// with online softmax).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AttentionImpl {
     /// Materialized scores + standalone softmax.
     Standard,

@@ -10,8 +10,6 @@
 //!   selective/full recomputation and FlashAttention (which removes the
 //!   `S x S` score materialization).
 
-use serde::{Deserialize, Serialize};
-
 use crate::models::ModelConfig;
 use crate::tensor::DType;
 use crate::{GraphError, Result};
@@ -20,7 +18,7 @@ use crate::{GraphError, Result};
 ///
 /// `Hash` is required because the mode is part of the solver's
 /// memoization key `(HybridConfig, MappingEngine, RecomputeMode)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RecomputeMode {
     /// Keep every intermediate activation.
     None,
@@ -33,7 +31,7 @@ pub enum RecomputeMode {
 }
 
 /// A training-step workload: batch geometry, precision and recompute policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Global batch size (sequences per optimizer step).
     pub global_batch: u64,

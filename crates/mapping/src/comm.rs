@@ -12,8 +12,6 @@
 //! | DP       | per-step gradient all-reduce (amortized per layer here) |
 //! | TATP     | the bidirectional 1-hop stream (handled by the orchestration; tagged P2P flows for contention analysis) |
 
-use serde::{Deserialize, Serialize};
-
 use temp_graph::models::ModelConfig;
 use temp_graph::workload::Workload;
 use temp_parallel::groups::WaferLayout;
@@ -23,7 +21,7 @@ use temp_sim::network::Flow;
 use temp_wsc::topology::{DieId, Mesh};
 
 /// Communication pattern classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommPattern {
     /// Ring all-reduce.
     AllReduce,
@@ -52,7 +50,7 @@ impl CommPattern {
 }
 
 /// One communication operation of the plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommOp {
     /// Which strategy generated it.
     pub source: ParallelKind,
@@ -99,7 +97,7 @@ impl CommOp {
 
 /// A flow tagged with a payload identity, so the optimizer can detect and
 /// merge duplicate data moving over shared links (multicast).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaggedFlow {
     /// The routed flow.
     pub flow: Flow,

@@ -9,8 +9,6 @@
 //! * **Tcme** — TEMP's engine: topology-aware layout *plus* the
 //!   traffic-conscious optimizer.
 
-use serde::{Deserialize, Serialize};
-
 use temp_graph::models::ModelConfig;
 use temp_graph::workload::Workload;
 use temp_parallel::groups::{LayoutPolicy, WaferLayout};
@@ -23,7 +21,7 @@ use crate::optimizer::TrafficOptimizer;
 use crate::{MappingError, Result};
 
 /// Mapping engine choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MappingEngine {
     /// Sequential mapper: fixed order, strip layout, no optimization.
     SMap,
@@ -44,7 +42,7 @@ impl std::fmt::Display for MappingEngine {
 }
 
 /// Result of mapping one configuration onto the wafer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MappingOutcome {
     /// Engine used.
     pub engine: MappingEngine,

@@ -15,8 +15,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use temp_sim::network::Flow;
 use temp_wsc::topology::{DieId, LinkId, Mesh, RouteOrder};
 
@@ -26,7 +24,7 @@ use crate::comm::TaggedFlow;
 pub const MAX_ITER: usize = 32;
 
 /// Outcome of a traffic optimization run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizationOutcome {
     /// Flows with optimized routes.
     pub flows: Vec<TaggedFlow>,

@@ -12,8 +12,6 @@
 //!   SMap-style baselines: groups become row-major index ranges, whose
 //!   members straddle row boundaries (the "tetris" groups of Fig. 7(a)).
 
-use serde::{Deserialize, Serialize};
-
 use temp_wsc::rings;
 use temp_wsc::topology::{Coord, DieId, Mesh};
 
@@ -21,7 +19,7 @@ use crate::strategy::{HybridConfig, ParallelKind};
 use crate::{ParallelError, Result};
 
 /// How group coordinates map onto the physical die array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayoutPolicy {
     /// Nested contiguous blocks, innermost strategy first (TEMP).
     TopologyAware,
@@ -39,7 +37,7 @@ pub const NESTING_ORDER: [ParallelKind; 5] = [
 ];
 
 /// A die's coordinates in every strategy dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct StrategyCoord {
     /// Index within the TATP group.
     pub tatp: usize,
@@ -82,7 +80,7 @@ impl StrategyCoord {
 }
 
 /// The physical layout of a hybrid configuration on a wafer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaferLayout {
     policy: LayoutPolicy,
     config: HybridConfig,

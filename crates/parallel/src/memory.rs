@@ -17,15 +17,13 @@
 //! sub-tensors), while FSDP needs a transient unsharded-layer buffer during
 //! compute — both are charged.
 
-use serde::{Deserialize, Serialize};
-
 use temp_graph::models::ModelConfig;
 use temp_graph::workload::{RecomputeMode, Workload};
 
 use crate::strategy::HybridConfig;
 
 /// Per-die memory footprint, in bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FootprintBreakdown {
     /// FP16 weights.
     pub weights: f64,

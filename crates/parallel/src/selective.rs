@@ -6,12 +6,10 @@
 //! than weight tensors"), so TATP streams weights; for wide layers on short
 //! sequences the reverse holds.
 
-use serde::{Deserialize, Serialize};
-
 use temp_graph::tensor::{DType, LinearDims};
 
 /// Which tensor the stream carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamChoice {
     /// Stream sub-weights; inputs stay resident.
     Weights,
@@ -29,7 +27,7 @@ impl std::fmt::Display for StreamChoice {
 }
 
 /// The outcome of the selective policy for one linear operator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamPlan {
     /// What is streamed.
     pub choice: StreamChoice,

@@ -5,12 +5,10 @@
 //! multi-WSC deployments). The paper writes configurations as tuples like
 //! `(DP=2, TP=1, SP=2, TATP=8)` (Figs. 17/18).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ParallelError, Result};
 
 /// The parallelization strategies TEMP composes (§II-A, §VI-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParallelKind {
     /// Data parallelism (replicated model, split batch).
     Dp,
@@ -71,7 +69,7 @@ impl std::fmt::Display for ParallelKind {
 /// A hybrid parallel configuration. Intra-wafer degrees (`dp·tp·sp·cp·tatp`)
 /// must cover the die array; `pp` spans wafers (or splits one wafer into
 /// stages when `pp_intra_wafer` planning is used by baselines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HybridConfig {
     /// Data-parallel degree.
     pub dp: usize,

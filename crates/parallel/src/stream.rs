@@ -9,12 +9,10 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ParallelError, Result};
 
 /// A sub-tensor transfer between logical positions during a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamSend {
     /// Sending logical position.
     pub from: usize,
@@ -32,7 +30,7 @@ impl StreamSend {
 }
 
 /// One orchestration round.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamRound {
     /// `(position, sub-tensor)` compute assignments.
     pub computes: Vec<(usize, usize)>,
@@ -41,14 +39,14 @@ pub struct StreamRound {
 }
 
 /// A full stream orchestration over `n` positions and `n` sub-tensors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamOrchestration {
     n: usize,
     rounds: Vec<StreamRound>,
 }
 
 /// Replay statistics gathered by [`StreamOrchestration::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamStats {
     /// Largest number of sub-tensors any position held at once (including
     /// its resident shard).

@@ -20,13 +20,11 @@
 //! physical sends (the on-time waves of lines 6–7), while wrapped accesses
 //! become the delayed waves of lines 8–9.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stream::{StreamOrchestration, StreamRound, StreamSend};
 use crate::Result;
 
 /// The TATP orchestration for one parallel group of `n` dies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TatpOrchestration {
     inner: StreamOrchestration,
 }

@@ -5,13 +5,11 @@
 //! physical mesh path, the ring's wrap edge spans `N-1` hops — the tail
 //! latency TATP eliminates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stream::{StreamOrchestration, StreamRound, StreamSend};
 use crate::Result;
 
 /// The naive ring orchestration for one parallel group of `n` dies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TsppOrchestration {
     inner: StreamOrchestration,
 }

@@ -34,7 +34,7 @@ use rand::{Rng, SeedableRng};
 use temp_serve::{fig13_slugs, PlanServer};
 
 /// Pulls an integer field out of a one-record bench JSON line (the
-/// vendored serde stand-in cannot deserialize).
+/// workspace has no JSON parser).
 fn json_u64_field(record: &str, field: &str) -> Option<u64> {
     let needle = format!("\"{field}\"");
     let after_key = record.find(&needle)? + needle.len();

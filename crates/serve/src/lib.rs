@@ -127,7 +127,7 @@ impl Objective {
 pub struct Query {
     /// Model slug (see [`zoo_slugs`]).
     pub model: String,
-    /// Wafer configuration key (`hpca` or `fig3`).
+    /// Wafer configuration key (`hpca`, `fig3` or `WxH`).
     pub wafer: String,
     /// Mapping engine to plan with.
     pub engine: MappingEngine,
@@ -219,10 +219,16 @@ pub fn is_noise(line: &str) -> bool {
     trimmed.is_empty() || trimmed.starts_with('#')
 }
 
+/// The largest custom `WxH` array the protocol accepts, in dies (16x16).
+/// Exact costing grows much faster than the die count, so a larger array
+/// would hold one query's solve for minutes.
+const MAX_CUSTOM_DIES: usize = 256;
+
 /// Resolves a protocol wafer key: `hpca` (the 8x4 evaluation wafer),
 /// `fig3` (the 6x8 reference array — note its 48 dies admit no
 /// power-of-two parallel tuples, so solves on it report
-/// `NoFeasiblePlan`), or a custom `WxH` array such as `4x4`.
+/// `NoFeasiblePlan`), or a custom `WxH` array such as `4x4` of at most
+/// 256 dies.
 pub fn wafer_config(key: &str) -> Result<WaferConfig, String> {
     match key {
         "hpca" => Ok(WaferConfig::hpca()),
@@ -233,7 +239,14 @@ pub fn wafer_config(key: &str) -> Result<WaferConfig, String> {
                 .ok_or_else(|| format!("unknown wafer {custom:?} (want hpca, fig3, or WxH)"))?;
             let w: u32 = w.parse().map_err(|_| format!("bad wafer width {w:?}"))?;
             let h: u32 = h.parse().map_err(|_| format!("bad wafer height {h:?}"))?;
-            WaferConfig::with_array(w, h).map_err(|e| e.to_string())
+            let config = WaferConfig::with_array(w, h).map_err(|e| e.to_string())?;
+            if config.die_count() > MAX_CUSTOM_DIES {
+                return Err(format!(
+                    "wafer {custom:?} has {} dies, over the {MAX_CUSTOM_DIES}-die limit",
+                    config.die_count()
+                ));
+            }
+            Ok(config)
         }
     }
 }
@@ -317,10 +330,13 @@ impl PlanServer {
     }
 
     /// The pool for a wafer key, built (and warm-imported) on demand.
+    /// Pools are keyed by the parsed die array (`{w}x{h}`), so spellings
+    /// of one wafer (`04x8`, `4x8`) share a pool.
     fn pool(&self, wafer: &str) -> Result<Arc<ContextPool>, String> {
         let config = wafer_config(wafer)?;
+        let key = format!("{}x{}", config.mesh_width, config.mesh_height);
         let mut pools = self.pools.lock().expect("pools lock");
-        if let Some(pool) = pools.get(wafer) {
+        if let Some(pool) = pools.get(&key) {
             return Ok(Arc::clone(pool));
         }
         let pool = Arc::new(ContextPool::new(config));
@@ -329,7 +345,7 @@ impl PlanServer {
             // serves every pool; files for other wafers never match.
             pool.load_from(dir).map_err(|e| e.to_string())?;
         }
-        pools.insert(wafer.to_string(), Arc::clone(&pool));
+        pools.insert(key, Arc::clone(&pool));
         Ok(pool)
     }
 
@@ -584,6 +600,88 @@ mod tests {
         let stats = server.handle_line("stats");
         assert!(stats.text().contains("\"queries\":2"));
         assert!(matches!(server.handle_line("shutdown"), Response::Quit(_)));
+    }
+
+    #[test]
+    fn custom_wafers_reject_overflow_and_oversized_arrays() {
+        // 65536 x 65536 dies wraps a u32 product to zero, and 65536 x
+        // 65537 wraps to 65536: both must be rejected, not solved.
+        assert!(wafer_config("65536x65536").is_err());
+        assert!(wafer_config("65536x65537").is_err());
+        // The custom-array cap: 16x16 is the largest accepted wafer.
+        assert_eq!(wafer_config("16x16").unwrap().die_count(), MAX_CUSTOM_DIES);
+        let err = wafer_config("16x17").unwrap_err();
+        assert!(err.contains("256-die limit"), "{err}");
+        assert!(wafer_config("1x257").is_err());
+        assert!(Request::parse("solve gpt3_6_7b wafer=64x64").is_err());
+        // The named wafers are not custom arrays and stay accepted.
+        assert!(wafer_config("hpca").is_ok());
+        assert!(wafer_config("fig3").is_ok());
+    }
+
+    #[test]
+    fn spellings_of_one_wafer_share_a_pool() {
+        let server = PlanServer::new(None).expect("server");
+        let first = server.handle_line("solve gpt3_6_7b wafer=04x8");
+        assert!(first.text().starts_with("{\"ok\":true"), "{}", first.text());
+        let (before, _) = server.aggregate();
+        let second = server.handle_line("solve gpt3_6_7b wafer=4x8");
+        assert!(
+            second.text().starts_with("{\"ok\":true"),
+            "{}",
+            second.text()
+        );
+        assert_eq!(
+            server.pools.lock().unwrap().len(),
+            1,
+            "one pool per die array"
+        );
+        let (after, _) = server.aggregate();
+        assert_eq!(before.misses, after.misses, "second spelling re-evaluated");
+    }
+
+    #[test]
+    fn v1_cache_files_are_quarantined_and_the_key_is_served_cold() {
+        let dir = std::env::temp_dir().join(format!("temp-serve-v1-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Persist one warm context, then rewrite its file into the v1
+        // layout (winner_rank and gate sections before the collectives).
+        let model = ModelZoo::gpt3_6_7b();
+        let pool = ContextPool::new(WaferConfig::hpca());
+        let solver = pool.solver(&model, &Workload::for_model(&model));
+        solver.solve().expect("cold plan");
+        assert_eq!(pool.save_to(&dir).expect("save"), 1);
+        let path = std::fs::read_dir(&dir)
+            .expect("read cache dir")
+            .map(|e| e.expect("dir entry").path())
+            .find(|p| p.extension().is_some_and(|x| x == "txt"))
+            .expect("one cache file");
+        let v2 = std::fs::read_to_string(&path).expect("read cache");
+        let v1 = v2.replacen("temp-cache v2", "temp-cache v1", 1).replacen(
+            "\ncoll ",
+            "\nwinner_rank 0\ngate 0\ncoll ",
+            1,
+        );
+        std::fs::write(&path, &v1).expect("plant v1 cache");
+
+        let server = PlanServer::new(Some(&dir)).expect("server");
+        let reply = server.handle_line("solve gpt3_6_7b");
+        assert!(reply.text().starts_with("{\"ok\":true"), "{}", reply.text());
+        let (stats, _) = server.aggregate();
+        assert!(
+            stats.misses > 0,
+            "a rejected v1 file must leave the key cold"
+        );
+        assert!(!path.exists(), "the v1 file must leave the warm path");
+        let mut quarantined = path.into_os_string();
+        quarantined.push(".quarantined");
+        assert_eq!(
+            std::fs::read_to_string(&quarantined).expect("quarantined copy"),
+            v1
+        );
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

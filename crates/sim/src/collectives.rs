@@ -7,15 +7,13 @@
 //! contention simulator charges the resulting congestion — exactly the
 //! failure mode TATP's orchestration removes.
 
-use serde::{Deserialize, Serialize};
-
 use temp_wsc::config::D2dConfig;
 use temp_wsc::topology::{DieId, Mesh};
 
 use crate::network::{ContentionSim, Flow};
 
 /// Collective operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
     /// Every rank ends with the concatenation of all shards.
     AllGather,
@@ -37,7 +35,7 @@ pub enum CollectiveKind {
 }
 
 /// A collective over a logical group order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Collective {
     /// Operation kind.
     pub kind: CollectiveKind,

@@ -6,14 +6,12 @@
 //! The model is the compute half of the paper's wafer-centric cost model
 //! (Eq. 2: `Comp(Op)`).
 
-use serde::{Deserialize, Serialize};
-
 use temp_graph::op::Operator;
 use temp_graph::tensor::DType;
 use temp_wsc::config::WaferConfig;
 
 /// Per-die compute latency model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeModel {
     /// Peak FP16 FLOP/s of one die.
     pub peak_flops: f64,

@@ -9,8 +9,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use temp_wsc::config::WaferConfig;
 use temp_wsc::topology::{DieId, LinkId};
 
@@ -18,7 +16,7 @@ use crate::network::{ContentionSim, Flow};
 use crate::power::EnergyLedger;
 
 /// One die's compute work within a round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeTask {
     /// Executing die.
     pub die: DieId,
@@ -53,7 +51,7 @@ impl ComputeTask {
 }
 
 /// One schedule round: concurrent compute plus flows.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Round {
     /// Per-die compute in this round.
     pub compute: Vec<ComputeTask>,
@@ -98,7 +96,7 @@ impl Round {
 }
 
 /// A sequence of rounds (rounds are barriers).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RoundSchedule {
     /// The rounds, executed in order.
     pub rounds: Vec<Round>,
@@ -132,7 +130,7 @@ impl RoundSchedule {
 }
 
 /// Execution report of a schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundReport {
     /// End-to-end wall-clock time.
     pub total_time: f64,

@@ -6,8 +6,6 @@
 //! the 72 GB capacity line (Figs. 4(c), 13) and effective bandwidth feeding
 //! the compute roofline. Both are modeled here.
 
-use serde::{Deserialize, Serialize};
-
 use temp_wsc::config::HbmConfig;
 use temp_wsc::topology::DieId;
 
@@ -19,7 +17,7 @@ use crate::{Result, SimError};
 /// each row activation costs `row_miss_penalty` seconds amortized over
 /// `row_bytes` of data. Small or scattered accesses therefore see lower
 /// effective bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HbmModel {
     /// Stack configuration (capacity, peak bandwidth, latency, energy).
     pub config: HbmConfig,
@@ -62,7 +60,7 @@ impl HbmModel {
 }
 
 /// Per-die capacity ledger with peak tracking and OOM detection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryLedger {
     capacity: f64,
     used: Vec<f64>,

@@ -13,8 +13,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use temp_wsc::config::WaferConfig;
 use temp_wsc::fault::FaultMap;
 use temp_wsc::topology::{DieId, LinkId, Mesh, RouteOrder};
@@ -41,7 +39,7 @@ pub fn contention_warm_stats() -> (u64, u64) {
 }
 
 /// A point-to-point transfer with an explicit route.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     /// Source die.
     pub src: DieId,
@@ -131,7 +129,7 @@ pub fn rerouted_neighbor_flows(mesh: &Mesh, faults: &FaultMap, bytes: f64) -> Op
 }
 
 /// Completion report of a contention simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentionReport {
     /// Per-flow completion times (same order as the input flows), including
     /// per-hop latency.

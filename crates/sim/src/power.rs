@@ -3,13 +3,11 @@
 //! interfaces", each derived from operation counts times energy per
 //! operation).
 
-use serde::{Deserialize, Serialize};
-
 use temp_wsc::config::WaferConfig;
 use temp_wsc::units::pj_per_bit_to_joules_per_byte;
 
 /// Accumulated energy per subsystem, in joules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyLedger {
     /// Compute (PE array + vector unit) energy.
     pub compute: f64,

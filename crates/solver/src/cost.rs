@@ -17,8 +17,6 @@
 //! energy (compute / D2D / HBM), throughput and power efficiency — every
 //! quantity the evaluation figures consume.
 
-use serde::{Deserialize, Serialize};
-
 use temp_graph::models::ModelConfig;
 use temp_graph::op::{OpKind, Operator};
 use temp_graph::segment::{Segment, SegmentChain, SegmentKind};
@@ -40,7 +38,7 @@ use temp_wsc::units::MB;
 use crate::{Result, SolverError};
 
 /// Full cost evaluation of one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostReport {
     /// Configuration evaluated.
     pub config: HybridConfig,
@@ -109,12 +107,11 @@ impl CostReport {
 /// Deliberately closed-form: per-die operator arithmetic plus analytic
 /// ring-collective times, no layout and no contention simulation, so a
 /// whole candidate batch can be segment-costed in microseconds and the
-/// result is independent of the evaluation tier (the surrogate gate and
-/// the exact pipeline see identical segment tables). The per-segment
+/// result is independent of the mapping engine. The per-segment
 /// memory check is a *necessary* condition — the segment's own parameter
 /// state and activations must fit a die; whole-chain feasibility is still
 /// settled by the exact [`CostReport::fits_memory`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentCost {
     /// Which segment kind was costed.
     pub kind: SegmentKind,
@@ -524,7 +521,7 @@ impl WaferCostModel {
     ) -> Result<std::sync::Arc<MappedComm>> {
         use std::sync::atomic::Ordering;
         let key = (
-            engine_code(engine),
+            crate::persist::engine_code(engine),
             *layout_cfg,
             workload.global_batch,
             workload.seq_len,
@@ -748,26 +745,6 @@ impl WaferCostModel {
                 }
             })
             .collect()
-    }
-
-    /// Cheap analytic surrogate features of one evaluation key — the
-    /// tier-1 input of the two-tier search. Closed-form arithmetic only:
-    /// no layout, no routing, no contention simulation, so a whole
-    /// candidate batch can be featurized in microseconds.
-    pub fn feature_vector(
-        &self,
-        cfg: &HybridConfig,
-        engine: MappingEngine,
-        mode: temp_graph::workload::RecomputeMode,
-    ) -> Vec<f64> {
-        temp_surrogate::chain_features(
-            &self.model,
-            &self.workload,
-            &self.wafer,
-            cfg,
-            engine_code(engine),
-            mode,
-        )
     }
 
     /// Evaluates one configuration end to end (Eq. 4).
@@ -1120,7 +1097,7 @@ impl WaferCostModel {
     }
 
     /// Evaluates one segment instance under this model's workload. See
-    /// [`SegmentCost`] for the contract (closed-form, tier-independent,
+    /// [`SegmentCost`] for the contract (closed-form, engine-independent,
     /// per-micro-batch units).
     ///
     /// # Errors
@@ -1139,8 +1116,7 @@ impl WaferCostModel {
     /// As [`WaferCostModel::evaluate_segment`] with an explicit workload
     /// (recompute escalation flows through here). The mapping engine does
     /// not enter the arithmetic — segment comm is priced with analytic
-    /// ring collectives so the table is identical across engines and
-    /// evaluation tiers.
+    /// ring collectives so the table is identical across engines.
     pub fn evaluate_segment_with(
         &self,
         segment: &Segment,
@@ -1518,16 +1494,6 @@ const STREAM_WAVE_MULTIPLICITY: f64 = 1.5;
 /// Micro-batching divides the batch dimension before DP does.
 fn micro_share(workload: &Workload) -> u64 {
     workload.micro_batches.max(1)
-}
-
-/// Stable engine encoding for surrogate features (the surrogate crate
-/// does not depend on `temp-mapping`).
-pub(crate) fn engine_code(engine: MappingEngine) -> u8 {
-    match engine {
-        MappingEngine::SMap => 0,
-        MappingEngine::GMap => 1,
-        MappingEngine::Tcme => 2,
-    }
 }
 
 fn shard(v: u64, by: u64) -> u64 {

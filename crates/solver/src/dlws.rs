@@ -13,9 +13,7 @@
 //!    candidate **per segment** under resharding transition costs: the
 //!    blocks are priced by the exact whole-model evaluation, the end
 //!    segments by the shared closed-form segment table;
-//! 4. **GA refinement** — evolves the DP assignment over each segment's
-//!    own (possibly ragged) candidate list;
-//! 5. Emit the best [`ExecutionPlan`].
+//! 4. Emit the DP-optimal [`ExecutionPlan`].
 //!
 //! A [`Dlws`] is a thin façade over a shared [`SearchContext`]: cloning
 //! the solver (or building several solvers from one context via
@@ -24,8 +22,6 @@
 //! not re-cost overlapping candidates.
 
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 use temp_graph::models::ModelConfig;
 use temp_graph::segment::SegmentKind;
@@ -37,13 +33,12 @@ use temp_wsc::fault::FaultMap;
 
 use crate::cost::{CostReport, WaferCostModel};
 use crate::dp::solve_chain;
-use crate::ga::{optimize_ragged, GaParams};
 use crate::runtime::CancelToken;
 use crate::search::{CandidateCost, SearchContext, SearchStats};
 use crate::{Result, SolverError};
 
 /// One segment run's strategy in a solved heterogeneous chain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentAssignment {
     /// Which segment kind the run covers.
     pub kind: SegmentKind,
@@ -56,7 +51,7 @@ pub struct SegmentAssignment {
 }
 
 /// A solved plan ready for execution/evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionPlan {
     /// The chosen hybrid configuration of the Transformer-block run (the
     /// chain's dominant segment, and what the whole-model [`CostReport`]
@@ -91,7 +86,6 @@ impl ExecutionPlan {
 #[derive(Debug, Clone)]
 pub struct Dlws {
     ctx: Arc<SearchContext>,
-    ga: GaParams,
 }
 
 impl Dlws {
@@ -106,10 +100,7 @@ impl Dlws {
     /// Creates a solver over an existing (possibly shared) context — all
     /// solvers built this way share one evaluation cache.
     pub fn from_context(ctx: Arc<SearchContext>) -> Self {
-        Dlws {
-            ctx,
-            ga: GaParams::default(),
-        }
+        Dlws { ctx }
     }
 
     /// Creates a solver that plans directly on the degraded fabric
@@ -131,14 +122,13 @@ impl Dlws {
 
     /// A sibling solver planning the same `(model, workload)` on the
     /// degraded fabric: shares the candidate enumeration (an `Arc` —
-    /// faults change feasibility, not which degree tuples exist) and the
-    /// GA tuning, but costs everything through the fault-derated model.
+    /// faults change feasibility, not which degree tuples exist), but
+    /// costs everything through the fault-derated model.
     /// The degraded context's caches start empty; they are keyed by a
     /// fault-extended fingerprint and must not mix with healthy entries.
     pub fn degraded(&self, faults: &FaultMap) -> Dlws {
         Dlws {
             ctx: Arc::new(self.ctx.derated(faults)),
-            ga: self.ga,
         }
     }
 
@@ -177,24 +167,6 @@ impl Dlws {
         self.ctx.stats()
     }
 
-    /// Overrides GA parameters.
-    pub fn with_ga(mut self, ga: GaParams) -> Self {
-        self.ga = ga;
-        self
-    }
-
-    /// Enables the surrogate gate on the shared context: candidate
-    /// batches are ranked by the learned predictor and only the top-K
-    /// survivors pay the exact cost model (see
-    /// [`crate::surrogate_gate`]). The final DP/GA ranking still consumes
-    /// exact reports, so the plan matches exhaustive search whenever the
-    /// exact winner survives the gate.
-    pub fn with_surrogate_gate(self) -> Self {
-        self.ctx
-            .set_cost_tier(crate::search::CostTier::SurrogateGated);
-        self
-    }
-
     /// All candidate configurations for this wafer (enumerated once, at
     /// context construction).
     pub fn candidates(&self) -> Vec<HybridConfig> {
@@ -207,7 +179,7 @@ impl Dlws {
         self.ctx.cost_of(cfg, engine)
     }
 
-    /// Runs the full dual-level search.
+    /// Runs the full search.
     ///
     /// # Errors
     ///
@@ -366,7 +338,7 @@ impl Dlws {
             ));
         }
 
-        // Level 1: DP over the real heterogeneous segment chain
+        // DP over the real heterogeneous segment chain
         // (embedding -> blocks -> [MoE blocks] -> head) with resharding
         // transition costs. The lists are ragged: dense segments choose
         // among the body candidates, the MoE run among the *full* space
@@ -375,10 +347,9 @@ impl Dlws {
         // The block run's per-candidate cost is the *exact* whole-model
         // step time minus the embedding/head/MoE contributions
         // (contention simulation included); every other segment is priced
-        // from the shared closed-form segment table, which is identical
-        // across evaluation tiers — so the surrogate gate can prune block
-        // candidates without ever perturbing the other segments' choices.
-        // A resharding boundary is crossed once per micro-batch.
+        // from the shared closed-form segment table, so pruned block
+        // candidates never perturb the other segments' choices. A
+        // resharding boundary is crossed once per micro-batch.
         let base_mode = self.ctx.cost_model().workload().recompute;
         let micro = self.ctx.cost_model().workload().micro_batches.max(1) as f64;
         let chain = self.ctx.chain();
@@ -406,7 +377,7 @@ impl Dlws {
                     })
                     .collect(),
                 // End and MoE segments: the shared per-step rows (one
-                // source of truth with the gate's chain correction).
+                // source of truth with the pruned path's incumbent).
                 kind => self.ctx.segment_step_costs(kind, cands, engine, base_mode),
             })
             .collect();
@@ -419,30 +390,17 @@ impl Dlws {
         let dp = solve_chain(&seg_costs, reshard)
             .map_err(|e| SolverError::Internal(format!("chain DP: {e}")))?;
 
-        // Level 2: GA refinement seeded with the DP assignment, each
-        // segment evolving over its own candidate list.
-        let cards: Vec<usize> = seg_costs.iter().map(Vec::len).collect();
-        let ga = optimize_ragged(&cards, &dp.choices, &self.ga, |genome| {
-            let mut total = 0.0;
-            for (s, &c) in genome.iter().enumerate() {
-                total += seg_costs[s][c];
-                if s > 0 {
-                    total += reshard(s, genome[s - 1], c);
-                }
-            }
-            total
-        });
-        let winner = ga.genome[block_row];
+        let winner = dp.choices[block_row];
         // Clone the winner's payload out of the costed vector instead of
         // `mem::take`-ing it: the shared cache must stay intact so the
         // context remains reusable across solves.
         let (workload, report) = costed[winner].1.clone().ok_or_else(|| {
-            SolverError::NoFeasiblePlan("GA converged on an infeasible candidate".into())
+            SolverError::NoFeasiblePlan("chain DP chose an infeasible candidate".into())
         })?;
         let segments: Vec<SegmentAssignment> = chain
             .segments()
             .iter()
-            .zip(&ga.genome)
+            .zip(&dp.choices)
             .enumerate()
             .map(|(s, (seg, &c))| SegmentAssignment {
                 kind: seg.kind,
@@ -457,7 +415,7 @@ impl Dlws {
             workload,
             report,
             segments,
-            chain_cost: ga.cost,
+            chain_cost: dp.cost,
         })
     }
 }

@@ -1,6 +1,6 @@
 //! # temp-solver — the Dual-Level Wafer Solver (DLWS, §VII)
 //!
-//! DLWS pairs a *wafer-centric cost model* with a *dual-level search*:
+//! DLWS pairs a *wafer-centric cost model* with an exact chain search:
 //!
 //! * [`cost`] — the analytic cost model of Eqs. 2–4: per-layer time is
 //!   `Collective + max(Comp, P2P-stream)`, per-step time adds pipeline
@@ -10,26 +10,22 @@
 //!   [`cost::WaferCostModel::evaluate_segment`];
 //! * [`dp`] — recursive dynamic programming over the heterogeneous
 //!   segment chain, with ragged per-segment candidate lists, resharding
-//!   transition costs and typed [`dp::DpError`]s (level 1 of the DLS
-//!   algorithm, Fig. 12(b));
-//! * [`ga`] — the genetic refinement stage (level 2): configuration genes,
-//!   crossover, mutation and elitist selection;
+//!   transition costs and typed [`dp::DpError`]s (Fig. 12(b)); the DP is
+//!   exact over the chain objective, so its optimum is the plan;
 //! * [`ilp`] — an exact exhaustive/branch-and-bound baseline, standing in
 //!   for the ILP formulation whose search time §VIII-H compares against;
 //! * [`search`] — the shared search pipeline: candidates enumerated once,
 //!   evaluations memoized behind a thread-safe cache, cache misses costed
-//!   in parallel, with a two-tier [`search::CostTier`] switch;
-//! * [`surrogate_gate`] — tier 1 of the two-tier pipeline: a learned
-//!   predictor ranks candidate batches so the exact model only runs on
-//!   the top-K survivors (§VII-A);
+//!   in parallel, and candidates an admissible lower bound proves
+//!   non-optimal skipped before exact costing;
 //! * [`runtime`] — the persistent work-stealing thread pool (Chase–Lev
 //!   deques, chunked tasks, nested submission) every batch path runs on;
 //! * [`shard`] — sharded cache locks and single-flight coalescing, so
 //!   concurrent solvers neither serialize on one mutex nor duplicate an
 //!   in-flight evaluation;
 //! * [`par`] — the data-parallel map facade over the runtime, with an
-//!   adaptive serial cutoff and the retained scoped-thread baseline;
-//! * [`dlws`] — the end-to-end solver: enumerate → cost → DP → GA → plan;
+//!   adaptive serial cutoff;
+//! * [`dlws`] — the end-to-end solver: enumerate → cost → DP → plan;
 //! * [`stage`] — stage-partitioned multi-wafer planning: pipeline stages
 //!   as contiguous segment-chain slices, with cut positions, per-stage
 //!   strategies and inter-wafer handoffs solved jointly (Fig. 19);
@@ -55,7 +51,6 @@ pub mod cost;
 pub mod dlws;
 pub mod dp;
 pub mod faultcamp;
-pub mod ga;
 pub mod ilp;
 pub mod par;
 pub mod persist;
@@ -64,15 +59,13 @@ pub mod runtime;
 pub mod search;
 pub mod shard;
 pub mod stage;
-pub mod surrogate_gate;
 
 pub use cost::{CostReport, SegmentCost, WaferCostModel};
 pub use dlws::{Dlws, ExecutionPlan, SegmentAssignment};
 pub use dp::DpError;
 pub use pool::ContextPool;
-pub use search::{CostTier, ImportSummary, SearchContext, SearchStats};
+pub use search::{ImportSummary, SearchContext, SearchStats};
 pub use stage::{MultiWaferPlan, StagePlan};
-pub use surrogate_gate::GateParams;
 
 /// Errors produced by the solver.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,10 +1,10 @@
 //! Text codecs for persisting solver caches across processes.
 //!
-//! The vendored `serde` is a no-op stub, so persistence is a hand-rolled
-//! line format in the same spirit as the gate-predictor `to_text` /
-//! `from_text` ("linreg v1 ..."): whitespace-separated fields, floats
-//! written with `{:?}` (which round-trips `f64` exactly, including `inf`
-//! and `NaN`), one record per line. The cost-table format lives on top of
+//! Persistence is a hand-rolled line format in the same spirit as the
+//! surrogate models' `to_text` / `from_text` ("linreg v1 ..."):
+//! whitespace-separated fields, floats written with `{:?}` (which
+//! round-trips `f64` exactly, including `inf` and `NaN`), one record per
+//! line. The cost-table format lives on top of
 //! these codecs in [`crate::search::SearchContext::export_cost_table`].
 //!
 //! Cache files are keyed by an FNV-1a fingerprint of the full

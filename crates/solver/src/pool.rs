@@ -19,7 +19,7 @@
 //!   the caches the first sweep filled.
 //!
 //! Warmth also survives the process: [`ContextPool::save_to`] persists
-//! every context's cost table, segment table and gate predictor as one
+//! every context's cost table, segment table and collective memo as one
 //! text file per context (named by the
 //! [`crate::cost::WaferCostModel::fingerprint`] of its `(wafer, model,
 //! workload, cost-model version)`), and a pool pointed at that directory
@@ -71,7 +71,7 @@ impl ContextPool {
     }
 
     /// Persists every pooled context's warm state (cost table, segment
-    /// table, winner-rank statistic, gate predictor) into `dir`, one text
+    /// table, collective memo) into `dir`, one text
     /// file per context, named by fingerprint. Returns the number of
     /// files written. Re-saving over an existing directory overwrites the
     /// matching files and leaves foreign files alone.
@@ -190,10 +190,9 @@ impl ContextPool {
     /// model get distinct contexts (the evaluation cache is only valid
     /// per workload).
     ///
-    /// Sharing is by `Arc`, so context-scoped knobs — the cost tier, the
-    /// gate parameters, the parallel switch — are shared too: flipping
-    /// one holder's tier flips it for every solver built from this
-    /// entry.
+    /// Sharing is by `Arc`, so context-scoped knobs — the parallel and
+    /// pruning switches — are shared too: flipping one holder's switch
+    /// flips it for every solver built from this entry.
     pub fn context(&self, model: &ModelConfig, workload: &Workload) -> Arc<SearchContext> {
         let key = format!("{model:?}#{workload:?}");
         let mut contexts = self.contexts.lock().expect("pool lock");
@@ -224,8 +223,8 @@ impl ContextPool {
     /// [`SearchContext::stats`] counters summed over every pooled
     /// context, plus the total number of distinct evaluation keys held
     /// (the denominator of the duplicate-work ratio). Serving layers
-    /// report these; the phase timings and `adaptive_top_k` are
-    /// per-context quantities and are summed only for completeness.
+    /// report these; the phase timings are per-context quantities and
+    /// are summed only for completeness.
     pub fn aggregate_stats(&self) -> (crate::search::SearchStats, usize) {
         let mut total = crate::search::SearchStats::default();
         let mut unique_keys = 0usize;
@@ -235,20 +234,13 @@ impl ContextPool {
             total.misses += s.misses;
             total.coalesced += s.coalesced;
             total.shard_waits += s.shard_waits;
-            total.exact_hits += s.exact_hits;
-            total.exact_misses += s.exact_misses;
-            total.gated_hits += s.gated_hits;
-            total.gated_misses += s.gated_misses;
-            total.gate_pruned += s.gate_pruned;
             total.seg_hits += s.seg_hits;
             total.seg_misses += s.seg_misses;
-            total.adaptive_top_k += s.adaptive_top_k;
             total.bound_pruned += s.bound_pruned;
             total.dominated_pruned += s.dominated_pruned;
             total.enumerate_ns += s.enumerate_ns;
             total.bound_ns += s.bound_ns;
             total.exact_ns += s.exact_ns;
-            total.gate_fit_ns += s.gate_fit_ns;
             total.contention_ns += s.contention_ns;
             unique_keys += ctx.eval_cache_len();
         }
@@ -350,7 +342,7 @@ mod tests {
         };
         let bit_flipped = good.replacen('.', "x", 1).into_bytes();
         let version_skewed = good
-            .replacen("temp-cache v1", "temp-cache v9", 1)
+            .replacen("temp-cache v2", "temp-cache v9", 1)
             .into_bytes();
         let unreadable = vec![0xff, 0xfe, 0x80, 0x00, b'\n'];
         let cases: [(&str, Vec<u8>); 4] = [

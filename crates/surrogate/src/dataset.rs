@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use temp_graph::tensor::{DType, LinearDims};
 use temp_sim::collectives::{Collective, CollectiveKind};
@@ -18,7 +17,7 @@ use temp_wsc::rings::snake_order;
 use temp_wsc::topology::DieId;
 
 /// Which latency the samples measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetClass {
     /// Single-operator computation latency (GEMM/GEMV/softmax/SiLU mix).
     Compute,
@@ -29,7 +28,7 @@ pub enum TargetClass {
 }
 
 /// A feature-matrix/target-vector dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Row-major feature matrix.
     pub features: Vec<Vec<f64>>,

@@ -31,17 +31,10 @@
 //! ```
 
 pub mod dataset;
-pub mod features;
-pub mod gate;
 pub mod linreg;
 pub mod metrics;
 pub mod mlp;
 
 pub use dataset::{Dataset, TargetClass};
-pub use features::{
-    chain_features, config_features, segment_features, CHAIN_FEATURE_DIM, CONFIG_FEATURE_DIM,
-    SEGMENT_FEATURE_DIM,
-};
-pub use gate::{GateModel, GatePredictor};
 pub use linreg::LinearRegression;
 pub use mlp::{Mlp, TrainParams};

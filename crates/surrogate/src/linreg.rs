@@ -4,13 +4,11 @@
 //! standardized features and log-space targets (the favorable formulation;
 //! the baseline still cannot capture the roofline max() nonlinearity).
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::Dataset;
 use crate::mlp::Standardizer;
 
 /// A fitted linear model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearRegression {
     weights: Vec<f64>,
     bias: f64,
@@ -74,9 +72,8 @@ impl LinearRegression {
         self.weights.len()
     }
 
-    /// Serializes the fitted model to a line-oriented text format (the
-    /// vendored `serde` stand-in has no real serialization, so persisted
-    /// surrogate predictors use this portable representation instead).
+    /// Serializes the fitted model to a portable line-oriented text
+    /// format.
     ///
     /// Format: a `linreg v1 <dim>` header followed by one
     /// whitespace-separated row each for weights, bias, feature means and

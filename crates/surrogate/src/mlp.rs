@@ -9,12 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 
 /// Feature standardization (z-score).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Standardizer {
     mean: Vec<f64>,
     std: Vec<f64>,
@@ -73,7 +72,7 @@ impl Standardizer {
 }
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainParams {
     /// Hidden width of both layers.
     pub hidden: usize,
@@ -97,7 +96,7 @@ impl Default for TrainParams {
 }
 
 /// The trained network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     w1: Vec<Vec<f64>>, // hidden x input
     b1: Vec<f64>,
@@ -260,7 +259,6 @@ impl Mlp {
     }
 
     /// Serializes the trained network to a line-oriented text format (the
-    /// vendored `serde` stand-in has no real serialization; this is the
     /// same portable representation [`crate::linreg`] uses).
     ///
     /// Format: an `mlp v1 <input> <hidden>` header, then one

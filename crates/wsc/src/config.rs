@@ -4,14 +4,12 @@
 //! array at 2 GHz, each die offering 1800 TFLOPS at 2 TFLOPS/W, 80 MB SRAM,
 //! 72 GB HBM at 1 TB/s, and 4 TB/s D2D links at 200 ns / 5 pJ/bit.
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::Mesh;
 use crate::units::{GB, MB, NS, TB, TFLOPS};
 use crate::{Result, WscError};
 
 /// Die-to-die interconnect parameters (Table I, "Die-to-Die Interconnect").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct D2dConfig {
     /// Peak per-link, per-direction bandwidth in bytes/s. Table I quotes
     /// "4 TB/s" for the die's D2D interconnect; read as the die's aggregate
@@ -59,7 +57,7 @@ impl D2dConfig {
 }
 
 /// HBM stack parameters (Table I, "DRAM Die").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HbmConfig {
     /// Capacity per die in bytes (paper: 72 GB).
     pub capacity: f64,
@@ -83,7 +81,7 @@ impl Default for HbmConfig {
 }
 
 /// Per-die compute parameters (Table I, "Logic Die").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieConfig {
     /// Logic die area in mm^2 (paper: 500 mm^2).
     pub area_mm2: f64,
@@ -133,7 +131,7 @@ impl DieConfig {
 }
 
 /// Full wafer-scale chip configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaferConfig {
     /// Die-array width (columns).
     pub mesh_width: u32,
@@ -184,11 +182,17 @@ impl WaferConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`WscError::InvalidConfig`] if either dimension is zero.
+    /// Returns [`WscError::InvalidConfig`] if either dimension is zero or
+    /// the die count overflows `u32`.
     pub fn with_array(width: u32, height: u32) -> Result<Self> {
         if width == 0 || height == 0 {
             return Err(WscError::InvalidConfig(format!(
                 "die array must be nonzero, got {width}x{height}"
+            )));
+        }
+        if width.checked_mul(height).is_none() {
+            return Err(WscError::InvalidConfig(format!(
+                "die array {width}x{height} overflows the die count"
             )));
         }
         Ok(WaferConfig {
@@ -200,7 +204,7 @@ impl WaferConfig {
 
     /// Number of dies on the wafer.
     pub fn die_count(&self) -> usize {
-        (self.mesh_width * self.mesh_height) as usize
+        self.mesh_width as usize * self.mesh_height as usize
     }
 
     /// Builds the mesh topology for this wafer.
@@ -326,6 +330,13 @@ mod tests {
         let c = WaferConfig::with_array(6, 9).unwrap();
         assert_eq!(c.die_count(), 54);
         assert!(c.validate().is_ok());
+        // The die count must not wrap: 65536 x 65536 is 2^32 dies.
+        assert!(WaferConfig::with_array(65536, 65536).is_err());
+        assert!(WaferConfig::with_array(65536, 65537).is_err());
+        assert_eq!(
+            WaferConfig::with_array(65536, 65535).unwrap().die_count(),
+            65536 * 65535
+        );
     }
 
     #[test]

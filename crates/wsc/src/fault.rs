@@ -12,13 +12,12 @@ use std::collections::{BTreeSet, VecDeque};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::topology::{DieId, LinkId, Mesh};
 use crate::{Result, WscError};
 
 /// A wafer's fault state: dead D2D links and per-die dead-core fractions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultMap {
     dead_links: BTreeSet<LinkId>,
     /// `core_fault[die]` = fraction of that die's compute cores that are
@@ -282,7 +281,7 @@ impl FaultMap {
 /// All factors are `1.0` (and `connected` true, `dead_links` zero) for a
 /// healthy map, so a degraded cost model built from a healthy view prices
 /// identically to the healthy one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedView {
     /// Whether all dies remain mutually reachable. A disconnected wafer
     /// cannot run lockstep SPMD collectives at all: no feasible plan.

@@ -5,14 +5,12 @@
 //! distributes pipeline stages across wafers. Intra-wafer parallelism stays
 //! whatever TEMP chooses per wafer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::WaferConfig;
 use crate::units::{TB, US};
 use crate::{Result, WscError};
 
 /// Inter-wafer interconnect parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterWaferLink {
     /// Aggregate bandwidth between adjacent wafers in bytes/s (paper: 9 TB/s).
     pub bandwidth: f64,
@@ -34,7 +32,7 @@ impl Default for InterWaferLink {
 
 /// A linear chain of identical wafers — the natural shape for pipeline
 /// parallelism across WSCs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiWaferSystem {
     /// Per-wafer configuration (all wafers identical).
     pub wafer: WaferConfig,

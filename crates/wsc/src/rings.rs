@@ -13,12 +13,10 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::{Coord, DieId, Mesh};
 
 /// How parallel groups are carved out of the die array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupPolicy {
     /// Row-major strips of consecutive dies (the naive allocation that
     /// produces "tetris-like" non-ring groups).
@@ -29,7 +27,7 @@ pub enum GroupPolicy {
 }
 
 /// A parallel group's physical placement plus its ring diagnosis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupPlacement {
     /// The member dies, in allocation order.
     pub dies: Vec<DieId>,

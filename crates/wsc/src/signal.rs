@@ -10,8 +10,6 @@
 //!   ~15 ns PHY latency;
 //! * therefore practical D2D links connect only *adjacent* dies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::WaferConfig;
 use crate::units::NS;
 
@@ -35,7 +33,7 @@ pub const NOMINAL_FREQ_GHZ: f64 = 8.0;
 /// The attenuation model is a first-order fit to the loss curves in
 /// Fig. 7(b): loss grows linearly in trace length, with a frequency-dependent
 /// per-mm coefficient (dielectric + skin effect).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignalModel {
     /// Frequency-independent loss per mm (dB/mm).
     pub base_db_per_mm: f64,
@@ -105,7 +103,7 @@ impl SignalModel {
 
 /// Summary of link feasibility classes for a wafer, used by the Fig. 7
 /// experiment binary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkFeasibility {
     /// Trace length between adjacent columns (mm).
     pub adjacent_x_mm: f64,

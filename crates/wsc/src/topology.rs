@@ -7,13 +7,11 @@
 //! shows to be physically infeasible (§III-B) — it exists here so the
 //! motivation experiments can quantify exactly why.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, WscError};
 
 /// A die's (column, row) position in the array. `x` grows rightward,
 /// `y` grows downward, matching the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Column index.
     pub x: u32,
@@ -40,7 +38,7 @@ impl std::fmt::Display for Coord {
 }
 
 /// Dense die identifier: `id = y * width + x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DieId(pub u32);
 
 impl DieId {
@@ -57,7 +55,7 @@ impl std::fmt::Display for DieId {
 }
 
 /// Dense identifier of a *directed* link in the mesh link table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -74,7 +72,7 @@ impl std::fmt::Display for LinkId {
 }
 
 /// A directed die-to-die link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     /// Source die.
     pub src: DieId,
@@ -86,7 +84,7 @@ pub struct Link {
 }
 
 /// Dimension-ordered routing direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RouteOrder {
     /// Route along X first, then Y (the classic deadlock-free default).
     #[default]
@@ -97,7 +95,7 @@ pub enum RouteOrder {
 }
 
 /// A `width x height` 2D mesh (optionally torus) of dies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mesh {
     width: u32,
     height: u32,

@@ -125,13 +125,6 @@ fn repeated_pooled_solves_hit_at_least_ninety_percent() {
         "pooled re-solve hit rate {warm_rate:.3} below 0.9 \
          ({warm_hits} hits / {warm_misses} misses)"
     );
-
-    // Per-tier breakdown ties out: these sweeps ran under the exact tier
-    // only, and totals always decompose into the tier counters.
-    assert_eq!(warm.hits, warm.exact_hits + warm.gated_hits);
-    assert_eq!(warm.misses, warm.exact_misses + warm.gated_misses);
-    assert_eq!(warm.gated_hits + warm.gated_misses, 0, "no gated lookups");
-    assert!(warm.exact_hit_rate() > 0.0);
 }
 
 #[test]

@@ -19,6 +19,7 @@ use temp_repro::solver::dlws::Dlws;
 use temp_repro::wsc::config::WaferConfig;
 use temp_repro::wsc::fault::FaultMap;
 use temp_repro::wsc::topology::{DieId, Mesh, RouteOrder};
+use temp_repro::wsc::units::MB;
 
 /// Algorithm 1 invariants hold for every group size.
 #[test]
@@ -524,6 +525,16 @@ fn bound_pruned_search_is_bit_identical_to_exhaustive_zoo_wide() {
         solver.context().set_pruning(false);
         let exhaustive = solver.solve().expect("exhaustive solve");
         assert_eq!(pruned, exhaustive, "{name}");
+        // On mixed chains the MoE run leaves the dense blocks' tuple for
+        // an expert-parallel one.
+        if let Some(moe) = pruned
+            .segments
+            .iter()
+            .find(|s| s.kind == SegmentKind::MoeBlock)
+        {
+            assert!(moe.config.ep > 1, "{name}: MoE run stayed at ep = 1");
+            assert_ne!(moe.config, pruned.config, "{name}");
+        }
     }
     assert!(
         pruned_total > 0,
@@ -634,7 +645,7 @@ fn chain_bounds_are_admissible_on_a_sampled_grid() {
             .collect();
         assert!(sampled.len() > 20, "{name}: sample too small to mean much");
         let bounds = ctx.cost_model().chain_bounds(&sampled);
-        let costs = ctx.cost_candidates_exact(&sampled, MappingEngine::Tcme);
+        let costs = ctx.cost_candidates(&sampled, MappingEngine::Tcme);
         for ((cfg, b), (t, report)) in sampled.iter().zip(&bounds).zip(&costs) {
             if !b.feasible {
                 assert!(
@@ -893,6 +904,121 @@ fn warm_started_fixed_points_match_cold_solves_on_random_meshes() {
             fallback.makespan.to_bits(),
             cold_perturbed.makespan.to_bits(),
             "case {case} ({w}x{h}): non-proportional fallback must be cold"
+        );
+    }
+}
+
+/// The heterogeneous chain on the exact path: GPT-3 6.7B assigns its
+/// embedding a different strategy than the blocks, the chain objective
+/// beats the uniform evaluation, and the bound-pruned solve reproduces
+/// the exhaustive per-segment assignment bit for bit (same context, so
+/// the exhaustive pass re-costs exactly the pruned holes).
+#[test]
+fn pruned_search_keeps_the_heterogeneous_chain_assignment() {
+    let model = ModelZoo::gpt3_6_7b();
+    let workload = Workload::for_model(&model);
+    let solver = Dlws::new(WaferConfig::hpca(), model, workload);
+    let pruned = solver.solve().expect("pruned plan");
+    assert!(
+        solver.context().stats().pruned_candidates() > 0,
+        "the pruner never engaged: {:?}",
+        solver.context().stats()
+    );
+    solver.context().set_pruning(false);
+    let exhaustive = solver.solve().expect("exhaustive plan");
+    assert!(
+        exhaustive.is_heterogeneous(),
+        "GPT-3 6.7B must exercise the heterogeneous chain: {:?}",
+        exhaustive
+            .segments
+            .iter()
+            .map(|s| s.config.label())
+            .collect::<Vec<_>>()
+    );
+    assert!(
+        exhaustive.chain_cost < exhaustive.report.step_time,
+        "heterogeneous chain must beat the uniform evaluation ({} vs {})",
+        exhaustive.chain_cost,
+        exhaustive.report.step_time
+    );
+    assert_eq!(
+        pruned.segments, exhaustive.segments,
+        "pruned solve must reproduce the exhaustive per-segment assignment"
+    );
+    assert_eq!(pruned, exhaustive);
+}
+
+/// Fig. 5(b)-style contended flow sets: neighbor chains forced through
+/// shared links, row/column crossings, plus seeded random traffic. The
+/// dense water-filling must agree with the HashMap reference to 1e-9
+/// relative on every completion time.
+#[test]
+fn dense_contention_sim_matches_reference_on_fig05_flow_sets() {
+    let cfg = WaferConfig::hpca();
+    let mesh = cfg.mesh();
+    let sim = ContentionSim::new(&cfg);
+    let dies = mesh.die_count() as u32;
+
+    let mut flow_sets: Vec<Vec<Flow>> = Vec::new();
+    // Fig. 5(a)/(b): same-row transfers sharing middle links.
+    flow_sets.push(
+        (0..6)
+            .map(|i| Flow::xy(&mesh, DieId(i), DieId(i + 2), 128.0 * MB))
+            .collect(),
+    );
+    // Row/column crossings plus long diagonals.
+    flow_sets.push(vec![
+        Flow::xy(&mesh, DieId(0), DieId(7), 64.0 * MB),
+        Flow::xy(&mesh, DieId(8), DieId(15), 64.0 * MB),
+        Flow::xy(&mesh, DieId(0), DieId(24), 64.0 * MB),
+        Flow::xy(&mesh, DieId(7), DieId(31), 64.0 * MB),
+        Flow::xy(&mesh, DieId(0), DieId(31), 96.0 * MB),
+        Flow::xy(&mesh, DieId(31), DieId(0), 96.0 * MB),
+    ]);
+    // Seeded random traffic, including local (zero-route) flows.
+    let mut rng = StdRng::seed_from_u64(41);
+    for _ in 0..8 {
+        let n = rng.gen_range(4..24);
+        flow_sets.push(
+            (0..n)
+                .map(|_| {
+                    let src = DieId(rng.gen_range(0..dies));
+                    let dst = DieId(rng.gen_range(0..dies));
+                    let bytes = rng.gen_range(1.0..256.0) * MB;
+                    Flow::xy(&mesh, src, dst, bytes)
+                })
+                .collect(),
+        );
+    }
+
+    for (case, flows) in flow_sets.iter().enumerate() {
+        let dense = sim.simulate(flows);
+        let reference = sim.simulate_reference(flows);
+        let tol = |r: f64| 1e-9 * r.abs().max(1e-12);
+        assert!(
+            (dense.makespan - reference.makespan).abs() <= tol(reference.makespan),
+            "case {case}: makespan {} vs {}",
+            dense.makespan,
+            reference.makespan
+        );
+        for (i, (d, r)) in dense
+            .completion
+            .iter()
+            .zip(&reference.completion)
+            .enumerate()
+        {
+            assert!(
+                (d - r).abs() <= tol(*r),
+                "case {case}, flow {i}: {d} vs {r}"
+            );
+        }
+        assert_eq!(dense.link_bytes, reference.link_bytes, "case {case}");
+        // Ties in the max-load scan may resolve to different links across
+        // HashMap instances; the load itself must agree.
+        assert_eq!(
+            dense.max_loaded_link.map(|(_, b)| b),
+            reference.max_loaded_link.map(|(_, b)| b),
+            "case {case}"
         );
     }
 }
