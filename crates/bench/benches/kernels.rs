@@ -1,6 +1,7 @@
 //! Micro-benchmarks of TEMP's planning kernels: TATP orchestration
 //! construction/validation, the traffic optimizer, the contention
-//! simulator, chain DP, and cost-model evaluation.
+//! simulator (on the 8x4 wafer and on one 16x16 layer's ring traffic),
+//! chain DP, and cost-model evaluation.
 //!
 //! Self-harnessed (`harness = false`): the offline build environment has
 //! no criterion, so [`temp_bench::timeit`] provides warm-up + repeated
@@ -10,9 +11,10 @@
 use temp_bench::timeit;
 use temp_graph::models::ModelZoo;
 use temp_graph::workload::Workload;
-use temp_mapping::comm::TaggedFlow;
+use temp_mapping::comm::{extract_comm_ops, layer_flows, TaggedFlow};
 use temp_mapping::engines::MappingEngine;
 use temp_mapping::optimizer::TrafficOptimizer;
+use temp_parallel::groups::{LayoutPolicy, WaferLayout};
 use temp_parallel::strategy::HybridConfig;
 use temp_parallel::tatp::TatpOrchestration;
 use temp_sim::network::{ContentionSim, Flow};
@@ -51,6 +53,33 @@ fn main() {
     timeit("traffic_optimizer_12_flows", 10, || {
         opt.optimize(tagged.clone())
     });
+
+    // Mesh scale: one layer of a 16x16 hybrid's ring traffic (~1000
+    // flows), the size TCME simulates per layout policy.
+    let mesh_cfg = WaferConfig::with_array(16, 16).expect("valid array");
+    let big_mesh = mesh_cfg.mesh();
+    let layout = WaferLayout::build(
+        &big_mesh,
+        &HybridConfig::tuple(4, 4, 2, 8),
+        LayoutPolicy::TopologyAware,
+    )
+    .expect("16x16 layout");
+    let model = ModelZoo::gpt3_6_7b();
+    let ops = extract_comm_ops(&layout, &model, &Workload::for_model(&model));
+    let mesh_tagged = layer_flows(&big_mesh, &ops);
+    let mesh_flows: Vec<Flow> = mesh_tagged.iter().map(|tf| tf.flow.clone()).collect();
+    let mesh_sim = ContentionSim::new(&mesh_cfg);
+    timeit(
+        &format!("contention_sim_16x16_{}_flows", mesh_flows.len()),
+        10,
+        || mesh_sim.simulate(&mesh_flows),
+    );
+    let mesh_opt = TrafficOptimizer::new(big_mesh.clone());
+    timeit(
+        &format!("traffic_optimizer_16x16_{}_flows", mesh_tagged.len()),
+        10,
+        || mesh_opt.optimize(mesh_tagged.clone()),
+    );
 
     let costs: Vec<Vec<f64>> = (0..96)
         .map(|s| (0..24).map(|k| ((s * k) % 17) as f64 + 1.0).collect())

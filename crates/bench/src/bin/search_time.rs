@@ -1,17 +1,18 @@
 //! §VIII-H: DLS search time vs the exact (ILP-style) baseline, plus the
 //! search-pipeline regression benchmark: serial vs work-stealing-pool
 //! candidate costing, bound-pruned vs exhaustive solves (single wafer,
-//! the MoE chain), the multi-wafer sweep, the candidate-cache hit rate of
-//! the seven-system sweep, and the persisted-cache warm start over the
-//! fig13 zoo.
+//! the MoE chain), the multi-wafer sweep, cold TCME solves at mesh scale
+//! (8x16 and 16x16), the candidate-cache hit rate of the seven-system
+//! sweep, and the persisted-cache warm start over the fig13 zoo.
 //!
 //! Machine-readable results are emitted as single-line JSON records
 //! (prefix `{"bench":"search_time",...}`) for the bench trajectory.
 //! With `--json <path>` the binary additionally writes one consolidated
 //! `BENCH_search.json` record so the perf trajectory is machine-tracked
 //! across PRs. With `--check <path>` the fresh exact eval counts (pruned
-//! single-wafer solve, multi-wafer sweep, MoE chain) are diffed against a
-//! committed baseline record (>20% regression fails),
+//! single-wafer solve, multi-wafer sweep, MoE chain) and the mesh-scale
+//! solves' contention simulation counts are diffed against a committed
+//! baseline record (>20% regression fails),
 //! the warm start must replay with ≤10% of the cold evaluations, and on
 //! a ≥4-core runner the pool must beat serial costing by >1.5x — the CI
 //! bench-regression gates. With `--warm-smoke --cache-dir <dir>` the
@@ -213,6 +214,61 @@ fn warm_smoke(dir: &Path) -> i32 {
     }
 }
 
+/// The die arrays of the mesh-scale scaling record (`mesh<W>x<H>_*`
+/// fields).
+const MESH_WAFERS: [(u32, u32); 2] = [(8, 16), (16, 16)];
+
+/// The committed record `--check` gates against.
+struct Baseline {
+    path: String,
+    pruned_solve_evals: u64,
+    multiwafer_exact_evals: u64,
+    moe_exact_evals: u64,
+    pruned_candidates: u64,
+    campaign_s: f64,
+    /// Contention simulations of each [`MESH_WAFERS`] solve.
+    mesh_sims: [u64; MESH_WAFERS.len()],
+}
+
+/// One cold TCME solve at mesh scale: wall time, exact evals, and the
+/// contention simulations behind its mappings.
+struct MeshSolve {
+    wafer: String,
+    solve_s: f64,
+    exact_evals: u64,
+    mappings: u64,
+    sims: u64,
+}
+
+impl MeshSolve {
+    fn sims_per_mapping(&self) -> f64 {
+        self.sims as f64 / self.mappings.max(1) as f64
+    }
+}
+
+/// Cold TCME solve of GPT-3 6.7B on a fresh `w x h` wafer. Contention
+/// simulations are the warm-start misses the solve adds (mesh-scale flow
+/// sets never repeat, so every mapped policy that is simulated is one).
+fn mesh_solve(w: u32, h: u32) -> MeshSolve {
+    let model = ModelZoo::gpt3_6_7b();
+    let wafer = WaferConfig::with_array(w, h).expect("valid die array");
+    let solver = Dlws::new(wafer, model.clone(), Workload::for_model(&model));
+    let (_, misses_before) = temp_sim::network::contention_warm_stats();
+    let t0 = Instant::now();
+    solver
+        .solve_with_engine(MappingEngine::Tcme, |_| true)
+        .expect("mesh-scale plan");
+    let solve_s = t0.elapsed().as_secs_f64();
+    let (_, misses_after) = temp_sim::network::contention_warm_stats();
+    MeshSolve {
+        wafer: format!("{w}x{h}"),
+        solve_s,
+        exact_evals: solver.search_stats().misses,
+        mappings: solver.cost_model().mapping_memo_stats().1,
+        sims: misses_after - misses_before,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--warm-smoke") {
@@ -253,24 +309,20 @@ fn main() {
         .map(|path| {
             let record = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| panic!("read bench baseline {path}: {e}"));
-            let evals = json_u64_field(&record, "pruned_solve_evals")
-                .unwrap_or_else(|| panic!("no pruned_solve_evals field in {path}"));
-            let mw_evals = json_u64_field(&record, "multiwafer_exact_evals")
-                .unwrap_or_else(|| panic!("no multiwafer_exact_evals field in {path}"));
-            let moe_evals = json_u64_field(&record, "moe_exact_evals")
-                .unwrap_or_else(|| panic!("no moe_exact_evals field in {path}"));
-            let pruned_candidates = json_u64_field(&record, "pruned_candidates")
-                .unwrap_or_else(|| panic!("no pruned_candidates field in {path}"));
-            let campaign_s = json_f64_field(&record, "campaign_s")
-                .unwrap_or_else(|| panic!("no campaign_s field in {path}"));
-            (
-                path.clone(),
-                evals,
-                mw_evals,
-                moe_evals,
-                pruned_candidates,
-                campaign_s,
-            )
+            let u64_field = |field: &str| {
+                json_u64_field(&record, field)
+                    .unwrap_or_else(|| panic!("no {field} field in {path}"))
+            };
+            Baseline {
+                path: path.clone(),
+                pruned_solve_evals: u64_field("pruned_solve_evals"),
+                multiwafer_exact_evals: u64_field("multiwafer_exact_evals"),
+                moe_exact_evals: u64_field("moe_exact_evals"),
+                pruned_candidates: u64_field("pruned_candidates"),
+                campaign_s: json_f64_field(&record, "campaign_s")
+                    .unwrap_or_else(|| panic!("no campaign_s field in {path}")),
+                mesh_sims: MESH_WAFERS.map(|(w, h)| u64_field(&format!("mesh{w}x{h}_sims"))),
+            }
         });
 
     header("§VIII-H: end-to-end DLS solve time (GPT-3 6.7B, 32 dies)");
@@ -428,6 +480,33 @@ fn main() {
     println!(
         "{{\"bench\":\"search_time\",\"metric\":\"moe_chain\",\"pruned_s\":{moe_pruned_s:.6},\"exact_evals\":{moe_exact_evals},\"exhaustive_evals\":{moe_exhaustive_evals},\"moe_ep\":{moe_ep},\"plans_match\":{moe_plans_match}}}"
     );
+
+    header("die-count scaling: cold TCME GPT-3 6.7B solve at mesh scale");
+    // Exact costing dominates at mesh scale; the contention simulations
+    // per mapping show how many layout policies the makespan bound left
+    // to simulate (1 to 2 per TCME mapping).
+    let mesh_solves = MESH_WAFERS.map(|(w, h)| mesh_solve(w, h));
+    for m in &mesh_solves {
+        println!(
+            "{}: cold solve {:.3} s, {} exact evals, {} mappings, {} contention sims \
+             ({:.2} per mapping)",
+            m.wafer,
+            m.solve_s,
+            m.exact_evals,
+            m.mappings,
+            m.sims,
+            m.sims_per_mapping()
+        );
+        println!(
+            "{{\"bench\":\"search_time\",\"metric\":\"die_scaling\",\"wafer\":\"{}\",\"solve_s\":{:.6},\"exact_evals\":{},\"mappings\":{},\"contention_sims\":{},\"sims_per_mapping\":{:.4}}}",
+            m.wafer,
+            m.solve_s,
+            m.exact_evals,
+            m.mappings,
+            m.sims,
+            m.sims_per_mapping()
+        );
+    }
 
     header("candidate cache: the seven-system compare_all sweep");
     let temp = Temp::hpca(ModelZoo::gpt3_6_7b());
@@ -664,7 +743,7 @@ fn main() {
                 "\"coll_hit_rate\":{:.4},\"pruned_winners_match\":{},",
                 "\"campaign_s\":{:.6},\"campaign_lanes\":{},",
                 "\"coalesced_evals\":{},\"shard_waits\":{},\"unique_eval_keys\":{},",
-                "\"pruned_zoo_baseline_s\":{:.6},\"zoo_models\":[{}]}}\n"
+                "\"pruned_zoo_baseline_s\":{:.6},{},\"zoo_models\":[{}]}}\n"
             ),
             threads,
             threads_effective,
@@ -699,6 +778,20 @@ fn main() {
             shard_waits,
             unique_eval_keys,
             carried_pruned_zoo_baseline_s.unwrap_or(pruned_zoo_s),
+            mesh_solves
+                .iter()
+                .map(|m| {
+                    let w = &m.wafer;
+                    format!(
+                        "\"mesh{w}_solve_s\":{:.6},\"mesh{w}_exact_evals\":{},\"mesh{w}_sims\":{},\"mesh{w}_sims_per_mapping\":{:.4}",
+                        m.solve_s,
+                        m.exact_evals,
+                        m.sims,
+                        m.sims_per_mapping()
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(","),
             zoo_model_stats
                 .iter()
                 .map(|m| format!(
@@ -712,32 +805,38 @@ fn main() {
         println!("\nwrote {path}");
     }
 
-    if let Some((
-        path,
-        baseline_evals,
-        baseline_mw_evals,
-        baseline_moe_evals,
-        baseline_pruned_candidates,
-        baseline_campaign_s,
-    )) = check_baseline
-    {
+    if let Some(baseline) = check_baseline {
+        let path = &baseline.path;
         // Bench-regression gate: fail when the exact search — the
         // pruned single-wafer solve, the multi-wafer sweep, or the cold
         // MoE chain — needs >20% more exact evaluations than the
-        // committed baseline record.
+        // committed baseline record, or a mesh-scale solve runs >20% more
+        // contention simulations.
         let mut failed = false;
-        for (what, fresh, baseline) in [
-            ("pruned_solve_evals", pruned_solve_evals, baseline_evals),
+        let mut gated = vec![
             (
-                "multiwafer_exact_evals",
-                exact_sweep_evals,
-                baseline_mw_evals,
+                "pruned_solve_evals".to_string(),
+                pruned_solve_evals,
+                baseline.pruned_solve_evals,
             ),
-            ("moe_exact_evals", moe_exact_evals, baseline_moe_evals),
-        ] {
-            let limit = (baseline as f64 * 1.2).ceil() as u64;
+            (
+                "multiwafer_exact_evals".to_string(),
+                exact_sweep_evals,
+                baseline.multiwafer_exact_evals,
+            ),
+            (
+                "moe_exact_evals".to_string(),
+                moe_exact_evals,
+                baseline.moe_exact_evals,
+            ),
+        ];
+        for (m, committed) in mesh_solves.iter().zip(baseline.mesh_sims) {
+            gated.push((format!("mesh{}_sims", m.wafer), m.sims, committed));
+        }
+        for (what, fresh, committed) in gated {
+            let limit = (committed as f64 * 1.2).ceil() as u64;
             println!(
-                "{what} regression check vs {path}: fresh {fresh} vs baseline {baseline} (limit {limit})"
+                "{what} regression check vs {path}: fresh {fresh} vs baseline {committed} (limit {limit})"
             );
             if fresh > limit {
                 eprintln!(
@@ -812,6 +911,7 @@ fn main() {
                  in {path}"
             ),
         }
+        let baseline_pruned_candidates = baseline.pruned_candidates;
         let pruned_floor = (baseline_pruned_candidates as f64 * 0.8).floor() as u64;
         println!(
             "pruned-candidates check vs {path}: fresh {pruned_candidates} vs baseline \
@@ -827,6 +927,7 @@ fn main() {
         // Campaign wall-time gate: generous (3x the committed baseline)
         // because CI runners vary, but a scheduling regression that
         // serializes the lanes blows well past it.
+        let baseline_campaign_s = baseline.campaign_s;
         let campaign_limit = baseline_campaign_s * 3.0;
         println!(
             "campaign wall-time check vs {path}: fresh {campaign_s:.3} s vs baseline \

@@ -13,7 +13,7 @@ use temp_graph::models::ModelConfig;
 use temp_graph::workload::Workload;
 use temp_parallel::groups::{LayoutPolicy, WaferLayout};
 use temp_parallel::strategy::HybridConfig;
-use temp_sim::network::{ContentionSim, Flow, SimCache};
+use temp_sim::network::{ContentionSim, Flow, SimCache, LOWER_BOUND_SLACK};
 use temp_wsc::config::WaferConfig;
 
 use crate::comm::{extract_comm_ops, layer_flows, CommOp, TaggedFlow};
@@ -97,30 +97,60 @@ pub fn map_hybrid(
             &[LayoutPolicy::TopologyAware, LayoutPolicy::RowMajorStrips]
         }
     };
-    let mut best: Option<MappingOutcome> = None;
-    for policy in candidates {
-        let outcome = map_with_policy(engine, wafer, model, workload, cfg, *policy)?;
-        let metric = match engine {
-            // Contention-agnostic ranking: isolated time only.
-            MappingEngine::GMap => outcome.isolated_comm_time,
-            // Contention-aware ranking.
-            _ => outcome.comm_time_per_layer,
-        };
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                let bm = match engine {
-                    MappingEngine::GMap => b.isolated_comm_time,
-                    _ => b.comm_time_per_layer,
-                };
-                metric < bm
-            }
-        };
-        if better {
-            best = Some(outcome);
+    let sim = ContentionSim::new(wafer);
+    let routed = candidates
+        .iter()
+        .map(|policy| route_policy(engine, wafer, model, workload, cfg, *policy))
+        .collect::<Result<Vec<_>>>()?;
+    let (winner, comm_time_per_layer) = match engine {
+        MappingEngine::SMap => (0, routed[0].comm_time_per_layer(&sim)),
+        // Contention-agnostic ranking on isolated time, which needs no
+        // fluid simulation: only the winner (first on ties) is simulated.
+        MappingEngine::GMap => {
+            let isolated: Vec<f64> = routed.iter().map(|r| r.isolated_comm_time(&sim)).collect();
+            let winner = (1..routed.len()).fold(0, |best, i| {
+                if isolated[i] < isolated[best] {
+                    i
+                } else {
+                    best
+                }
+            });
+            (winner, routed[winner].comm_time_per_layer(&sim))
         }
-    }
-    best.ok_or_else(|| MappingError::Layout("no candidate layout".into()))
+        // Contention-aware ranking: simulate in lower-bound order and skip
+        // a policy whose admissible bound already loses to the incumbent.
+        // Ties still go to the first policy in list order.
+        MappingEngine::Tcme => {
+            let bounds: Vec<f64> = routed
+                .iter()
+                .map(|r| sim.makespan_lower_bound(&r.raw) * r.scale)
+                .collect();
+            let mut order: Vec<usize> = (0..routed.len()).collect();
+            order.sort_by(|a, b| bounds[*a].total_cmp(&bounds[*b]));
+            let mut best: Option<(usize, f64)> = None;
+            for i in order {
+                if best.is_some_and(|(_, bt)| bounds[i] * (1.0 - LOWER_BOUND_SLACK) > bt) {
+                    continue;
+                }
+                let t = routed[i].comm_time_per_layer(&sim);
+                if best.map_or(true, |(b, bt)| t < bt || (t == bt && i < b)) {
+                    best = Some((i, t));
+                }
+            }
+            best.expect("at least one layout policy")
+        }
+    };
+    let winner = routed.into_iter().nth(winner).expect("a laid-out policy");
+    let isolated_comm_time = winner.isolated_comm_time(&sim);
+    Ok(MappingOutcome {
+        engine,
+        layout: winner.layout,
+        comm_ops: winner.comm_ops,
+        flows: winner.flows,
+        comm_time_per_layer,
+        max_link_load: winner.max_link_load,
+        isolated_comm_time,
+    })
 }
 
 thread_local! {
@@ -135,60 +165,79 @@ thread_local! {
 /// once it grows past this, keeping long campaigns memory-stable.
 const SIM_CACHE_CAP: usize = 8192;
 
-fn map_with_policy(
+/// One layout policy's laid-out, routed (and, for TCME, optimized) layer
+/// traffic, before any contention simulation.
+struct RoutedPolicy {
+    layout: WaferLayout,
+    comm_ops: Vec<CommOp>,
+    flows: Vec<TaggedFlow>,
+    raw: Vec<Flow>,
+    /// Round count times per-layer multiplicity of the longest schedule.
+    scale: f64,
+    max_link_load: f64,
+}
+
+fn route_policy(
     engine: MappingEngine,
     wafer: &WaferConfig,
     model: &ModelConfig,
     workload: &Workload,
     cfg: &HybridConfig,
     policy: LayoutPolicy,
-) -> Result<MappingOutcome> {
+) -> Result<RoutedPolicy> {
     let mesh = wafer.mesh();
     let layout =
         WaferLayout::build(&mesh, cfg, policy).map_err(|e| MappingError::Layout(e.to_string()))?;
     let comm_ops = extract_comm_ops(&layout, model, workload);
-    let mut flows = layer_flows(&mesh, &comm_ops);
-
-    if engine == MappingEngine::Tcme {
-        let optimizer = TrafficOptimizer::new(mesh.clone());
-        let outcome = optimizer.optimize(std::mem::take(&mut flows));
-        flows = outcome.flows;
-    }
-
-    // Time one representative round of all concurrent group traffic, then
-    // scale by each op's round count and per-layer multiplicity.
-    let sim = ContentionSim::new(wafer);
-    let raw: Vec<Flow> = flows.iter().map(|tf| tf.flow.clone()).collect();
-    let round_makespan = SIM_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.len() > SIM_CACHE_CAP {
-            *cache = SimCache::new();
-        }
-        if raw.is_empty() {
-            0.0
-        } else {
-            sim.simulate_cached(&raw, &mut cache).makespan
-        }
-    });
-    // Lone flows bypass the fluid event loop entirely: the scalar fast
-    // path is bit-identical to simulating each flow on its own.
-    let isolated_round = raw
-        .iter()
-        .map(|f| sim.isolated_makespan(f))
-        .fold(0.0, f64::max);
+    let flows = layer_flows(&mesh, &comm_ops);
+    let optimizer = TrafficOptimizer::new(mesh);
+    let (flows, max_link_load) = if engine == MappingEngine::Tcme {
+        let outcome = optimizer.optimize(flows);
+        (outcome.flows, outcome.final_max_load)
+    } else {
+        let max = optimizer.max_link_load(&flows);
+        (flows, max)
+    };
+    let raw = flows.iter().map(|tf| tf.flow.clone()).collect();
     let scale = comm_rounds_scale(&comm_ops);
-    let loads = TrafficOptimizer::new(mesh).link_loads(&flows);
-    let max_link_load = loads.values().fold(0.0f64, |a, b| a.max(*b));
-
-    Ok(MappingOutcome {
-        engine,
+    Ok(RoutedPolicy {
         layout,
         comm_ops,
         flows,
-        comm_time_per_layer: round_makespan * scale,
+        raw,
+        scale,
         max_link_load,
-        isolated_comm_time: isolated_round * scale,
     })
+}
+
+impl RoutedPolicy {
+    /// Contention-free time: every flow of the round timed alone. Lone
+    /// flows bypass the fluid event loop entirely: the scalar fast path is
+    /// bit-identical to simulating each flow on its own.
+    fn isolated_comm_time(&self, sim: &ContentionSim) -> f64 {
+        let round = self
+            .raw
+            .iter()
+            .map(|f| sim.isolated_makespan(f))
+            .fold(0.0, f64::max);
+        round * self.scale
+    }
+
+    /// Times one representative round of all concurrent group traffic,
+    /// then scales by each op's round count and per-layer multiplicity.
+    fn comm_time_per_layer(&self, sim: &ContentionSim) -> f64 {
+        if self.raw.is_empty() {
+            return 0.0;
+        }
+        let round_makespan = SIM_CACHE.with(|cache| {
+            let mut cache = cache.borrow_mut();
+            if cache.len() > SIM_CACHE_CAP {
+                *cache = SimCache::new();
+            }
+            sim.simulate_cached(&self.raw, &mut cache).makespan
+        });
+        round_makespan * self.scale
+    }
 }
 
 /// Weighted ring-round count across ops: each op runs

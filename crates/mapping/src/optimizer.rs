@@ -13,8 +13,6 @@
 //! 5. **Global update & termination check** — recompute `mcl`; stop when
 //!    improvement stagnates or `MAX_ITER` is reached.
 
-use std::collections::HashMap;
-
 use temp_sim::network::Flow;
 use temp_wsc::topology::{DieId, LinkId, Mesh, RouteOrder};
 
@@ -72,38 +70,25 @@ impl TrafficOptimizer {
     }
 
     /// Per-link loads with multicast dedup: a payload crossing a link in
-    /// multiple flows is carried once.
-    pub fn link_loads(&self, flows: &[TaggedFlow]) -> HashMap<LinkId, f64> {
-        let mut seen: std::collections::HashSet<(u64, LinkId)> = std::collections::HashSet::new();
-        let mut loads: HashMap<LinkId, f64> = HashMap::new();
-        for tf in flows {
-            for l in &tf.flow.route {
-                if seen.insert((tf.payload, *l)) {
-                    *loads.entry(*l).or_insert(0.0) += tf.flow.bytes;
-                }
-            }
-        }
-        loads
+    /// multiple flows is carried once. Indexed by [`LinkId::index`].
+    pub fn link_loads(&self, flows: &[TaggedFlow]) -> Vec<f64> {
+        let mut table = LoadTable::new(flows, self.mesh.link_count());
+        table.rebuild(flows);
+        table.loads
     }
 
-    fn max_load(&self, flows: &[TaggedFlow]) -> (Option<LinkId>, f64) {
-        Self::max_of(&self.link_loads(flows))
-    }
-
-    /// Most-loaded link of an already-built load map.
-    fn max_of(loads: &HashMap<LinkId, f64>) -> (Option<LinkId>, f64) {
-        loads
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-            .map(|(l, v)| (Some(*l), *v))
-            .unwrap_or((None, 0.0))
+    /// Max per-link load of a flow set (0 for no traffic).
+    pub(crate) fn max_link_load(&self, flows: &[TaggedFlow]) -> f64 {
+        max_of(&self.link_loads(flows)).1
     }
 
     /// Runs the five-phase optimization loop.
     pub fn optimize(&self, mut flows: Vec<TaggedFlow>) -> OptimizationOutcome {
         // Phase 1 happened upstream (XY-initialized routes).
         // Phase 2: bottleneck identification.
-        let (mut mcl, initial) = self.max_load(&flows);
+        let mut table = LoadTable::new(&flows, self.mesh.link_count());
+        table.rebuild(&flows);
+        let (mut mcl, initial) = max_of(&table.loads);
         let mut cur = initial;
         let mut prev = 2.0 * cur;
         let mut iterations = 0;
@@ -126,21 +111,20 @@ impl TrafficOptimizer {
             // Phase 4: reroute hot flows over load-aware detours.
             // (Duplicate merging is implicit in `link_loads`' multicast
             // dedup; rerouting must therefore beat the deduped load.)
-            // The load map only changes when a reroute is accepted, so it
-            // is rebuilt on acceptance instead of once per hot flow — the
-            // values every candidate is judged against are identical.
-            let mut loads = self.link_loads(&flows);
+            // The load table only changes when a reroute is accepted, so
+            // it is rebuilt on acceptance instead of once per hot flow —
+            // the values every candidate is judged against are identical.
             for i in hot {
-                let candidate = self.best_alternative(&flows, &loads, i, bottleneck);
+                let candidate = self.best_alternative(&flows, &table.loads, i, bottleneck);
                 if let Some(new_flow) = candidate {
                     flows[i].flow = new_flow;
                     rerouted += 1;
-                    loads = self.link_loads(&flows);
+                    table.rebuild(&flows);
                 }
             }
-            // Phase 5: global update & termination check. `loads` is
+            // Phase 5: global update & termination check. The table is
             // rebuilt after every accepted reroute, so it is current here.
-            let (new_mcl, new_cur) = Self::max_of(&loads);
+            let (new_mcl, new_cur) = max_of(&table.loads);
             mcl = new_mcl;
             cur = new_cur;
         }
@@ -162,7 +146,7 @@ impl TrafficOptimizer {
     fn best_alternative(
         &self,
         flows: &[TaggedFlow],
-        loads: &HashMap<LinkId, f64>,
+        loads: &[f64],
         i: usize,
         bottleneck: LinkId,
     ) -> Option<Flow> {
@@ -198,22 +182,16 @@ impl TrafficOptimizer {
         best.map(|(_, f)| f)
     }
 
-    fn route_worst_load(&self, loads: &HashMap<LinkId, f64>, route: &[LinkId], add: f64) -> f64 {
+    fn route_worst_load(&self, loads: &[f64], route: &[LinkId], add: f64) -> f64 {
         route
             .iter()
-            .map(|l| loads.get(l).copied().unwrap_or(0.0) + add)
+            .map(|l| loads[l.index()] + add)
             .fold(0.0f64, f64::max)
     }
 
     /// Dijkstra over dies with link weight `1 + load/bytes` (hop count plus
     /// normalized congestion), producing a detour candidate.
-    fn load_aware_route(
-        &self,
-        loads: &HashMap<LinkId, f64>,
-        src: DieId,
-        dst: DieId,
-        bytes: f64,
-    ) -> Option<Flow> {
+    fn load_aware_route(&self, loads: &[f64], src: DieId, dst: DieId, bytes: f64) -> Option<Flow> {
         if src == dst {
             return None;
         }
@@ -233,7 +211,7 @@ impl TrafficOptimizer {
             }
             for v in self.mesh.neighbors(u) {
                 let link = self.mesh.link_between(u, v).expect("neighbors have links");
-                let load = loads.get(&link).copied().unwrap_or(0.0);
+                let load = loads[link.index()];
                 let w = 1.0 + load / bytes.max(1.0);
                 let nd = d + w;
                 if nd < dist[v.index()] {
@@ -257,6 +235,88 @@ impl TrafficOptimizer {
         }
         path.reverse();
         Flow::with_path(&self.mesh, &path, bytes).ok()
+    }
+}
+
+/// Most-loaded link of a load table, ties to the lowest [`LinkId`];
+/// `(None, 0.0)` when no link carries traffic.
+fn max_of(loads: &[f64]) -> (Option<LinkId>, f64) {
+    let mut best = (None, 0.0f64);
+    for (idx, &load) in loads.iter().enumerate() {
+        if load > best.1 {
+            best = (Some(LinkId(idx as u32)), load);
+        }
+    }
+    best
+}
+
+/// Dense per-link byte loads of a tagged flow set, rebuilt in place as the
+/// optimizer reroutes. Each link sums its flows' bytes in flow order, and
+/// only the first crossing of a `(payload, link)` pair counts (multicast
+/// dedup): flows sharing a payload are visited together, in flow order,
+/// to mark those crossings before the loads are summed.
+struct LoadTable {
+    /// Bytes per link, indexed by [`LinkId::index`].
+    loads: Vec<f64>,
+    /// Flow indices stably sorted by payload.
+    by_payload: Vec<usize>,
+    /// Per-link stamp of the last payload group that crossed it.
+    stamp: Vec<u64>,
+    /// Payload groups stamped so far (never reset, so stamps stay unique
+    /// across rebuilds).
+    groups: u64,
+    /// Start of each flow's route in `counted`.
+    offset: Vec<usize>,
+    /// Whether each route position is its payload's first crossing of
+    /// that link.
+    counted: Vec<bool>,
+}
+
+impl LoadTable {
+    fn new(flows: &[TaggedFlow], links: usize) -> Self {
+        let mut by_payload: Vec<usize> = (0..flows.len()).collect();
+        by_payload.sort_by_key(|&i| flows[i].payload);
+        LoadTable {
+            loads: vec![0.0; links],
+            by_payload,
+            stamp: vec![0; links],
+            groups: 0,
+            offset: Vec::with_capacity(flows.len()),
+            counted: Vec::new(),
+        }
+    }
+
+    fn rebuild(&mut self, flows: &[TaggedFlow]) {
+        self.offset.clear();
+        let mut total = 0;
+        for tf in flows {
+            self.offset.push(total);
+            total += tf.flow.route.len();
+        }
+        self.counted.clear();
+        self.counted.resize(total, false);
+        let mut payload = None;
+        for &i in &self.by_payload {
+            let tf = &flows[i];
+            if payload != Some(tf.payload) {
+                payload = Some(tf.payload);
+                self.groups += 1;
+            }
+            for (k, l) in tf.flow.route.iter().enumerate() {
+                if self.stamp[l.index()] != self.groups {
+                    self.stamp[l.index()] = self.groups;
+                    self.counted[self.offset[i] + k] = true;
+                }
+            }
+        }
+        self.loads.fill(0.0);
+        for (tf, &start) in flows.iter().zip(&self.offset) {
+            for (l, &counted) in tf.flow.route.iter().zip(&self.counted[start..]) {
+                if counted {
+                    self.loads[l.index()] += tf.flow.bytes;
+                }
+            }
+        }
     }
 }
 
@@ -345,7 +405,7 @@ mod tests {
         let loads = opt.link_loads(&flows);
         let l01 = mesh.link_between(DieId(0), DieId(1)).unwrap();
         assert!(
-            (loads[&l01] - 10.0 * MB).abs() < 1.0,
+            (loads[l01.index()] - 10.0 * MB).abs() < 1.0,
             "multicast carries one copy"
         );
         // Distinct payloads over the same links double the load.
@@ -354,7 +414,7 @@ mod tests {
             tagged(&mesh, 0, 3, 10.0 * MB, 8),
         ];
         let loads2 = opt.link_loads(&flows2);
-        assert!((loads2[&l01] - 20.0 * MB).abs() < 1.0);
+        assert!((loads2[l01.index()] - 20.0 * MB).abs() < 1.0);
     }
 
     #[test]

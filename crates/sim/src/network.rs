@@ -10,7 +10,8 @@
 //! contention effect of Fig. 5(b).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use temp_wsc::config::WaferConfig;
@@ -155,6 +156,11 @@ impl ContentionReport {
     }
 }
 
+/// Relative slack to take off [`ContentionSim::makespan_lower_bound`]
+/// before trusting it against a simulated makespan: it absorbs fp
+/// rounding in the bound and in the fluid loop.
+pub const LOWER_BOUND_SLACK: f64 = 1e-9;
+
 /// Max–min fair-share contention simulator over a mesh.
 #[derive(Debug, Clone)]
 pub struct ContentionSim {
@@ -175,6 +181,8 @@ struct DenseScratch {
     cap: Vec<f64>,
     /// Unassigned active flows crossing each link.
     count: Vec<u32>,
+    /// Cached fair share `cap / count` per link (valid where `count > 0`).
+    share: Vec<f64>,
     /// Active-flow positions crossing each link.
     flows_at: Vec<Vec<u32>>,
     /// Generation stamp per link.
@@ -183,6 +191,11 @@ struct DenseScratch {
     generation: u64,
     /// Links touched this generation.
     used: Vec<usize>,
+    /// Position of each touched link in `used` (the argmin tie order).
+    pos_of: Vec<u32>,
+    /// `used` positions whose share equalled the current level when they
+    /// were queued (stale entries are skipped on pop).
+    level_set: BinaryHeap<Reverse<u32>>,
     /// Per-active-flow assigned rates (output of the water-filling).
     rate: Vec<f64>,
     /// Per-active-flow frozen markers.
@@ -215,10 +228,13 @@ impl DenseScratch {
         DenseScratch {
             cap: vec![0.0; link_count],
             count: vec![0; link_count],
+            share: vec![0.0; link_count],
             flows_at: (0..link_count).map(|_| Vec::new()).collect(),
             stamp: vec![0; link_count],
             generation: 0,
             used: Vec::with_capacity(link_count),
+            pos_of: vec![0; link_count],
+            level_set: BinaryHeap::new(),
             rate: Vec::new(),
             assigned: Vec::new(),
         }
@@ -228,8 +244,10 @@ impl DenseScratch {
         if links > self.cap.len() {
             self.cap.resize(links, 0.0);
             self.count.resize(links, 0);
+            self.share.resize(links, 0.0);
             self.flows_at.resize_with(links, Vec::new);
             self.stamp.resize(links, 0);
+            self.pos_of.resize(links, 0);
         }
     }
 
@@ -237,6 +255,17 @@ impl DenseScratch {
     /// The rates land in `self.rate` (indexed by active-set position) so
     /// the fluid loop's per-iteration buffers come from the arena instead
     /// of fresh allocations.
+    ///
+    /// Every round freezes the flows of the bottleneck link: the smallest
+    /// fair share `cap / count`, ties to the first link in `used`. Few
+    /// distinct share *levels* occur per call, so the links are scanned
+    /// once per level, not once per round: the scan queues every link at
+    /// the minimum share, rounds pop the lowest queued position, and a
+    /// frozen flow re-queues a link its update brings to the level. Max–min
+    /// shares never fall during a call, so a link whose share drops below
+    /// the level can only be fp rounding; it forces a fresh scan. Each
+    /// pick is therefore the scan's `(share, first position)` argmin, and
+    /// the rates are bit-identical to rescanning every round.
     fn fair_rates(&mut self, bandwidth: f64, flows: &[Flow], active: &[usize]) {
         self.generation += 1;
         self.used.clear();
@@ -249,47 +278,80 @@ impl DenseScratch {
                     self.cap[idx] = bandwidth;
                     self.count[idx] = 0;
                     self.flows_at[idx].clear();
+                    self.pos_of[idx] = self.used.len() as u32;
                     self.used.push(idx);
                 }
                 self.count[idx] += 1;
                 self.flows_at[idx].push(pos as u32);
             }
         }
+        for &idx in &self.used {
+            self.share[idx] = self.cap[idx] / self.count[idx] as f64;
+        }
         self.rate.clear();
         self.rate.resize(active.len(), 0.0);
         self.assigned.clear();
         self.assigned.resize(active.len(), false);
         let mut unassigned = active.len();
+        let mut level = 0.0f64;
+        let mut rescan = true;
         while unassigned > 0 {
-            // Bottleneck link: smallest fair share among links that still
-            // carry unassigned flows.
-            let mut best: Option<(usize, f64)> = None;
-            for &idx in &self.used {
-                if self.count[idx] == 0 {
-                    continue;
+            if rescan {
+                // Full scan: the minimum share and every link holding it,
+                // queued in `used` order.
+                self.level_set.clear();
+                for (pos, &idx) in self.used.iter().enumerate() {
+                    if self.count[idx] == 0 {
+                        continue;
+                    }
+                    let share = self.share[idx];
+                    if self.level_set.is_empty() || share < level {
+                        self.level_set.clear();
+                        level = share;
+                    } else if share != level {
+                        continue;
+                    }
+                    self.level_set.push(Reverse(pos as u32));
                 }
-                let share = self.cap[idx] / self.count[idx] as f64;
-                if best.map(|(_, s)| share < s).unwrap_or(true) {
-                    best = Some((idx, share));
+                if self.level_set.is_empty() {
+                    break;
                 }
+                rescan = false;
             }
-            let Some((bottleneck, share)) = best else {
-                break;
+            // Bottleneck: the first live link still at the level.
+            let Some(Reverse(pos)) = self.level_set.pop() else {
+                rescan = true;
+                continue;
             };
+            let bottleneck = self.used[pos as usize];
+            if self.count[bottleneck] == 0 || self.share[bottleneck] != level {
+                continue;
+            }
             // Freeze every unassigned flow crossing the bottleneck at the
-            // bottleneck share; subtract it along their routes.
+            // level; subtract it along their routes.
             for fp in 0..self.flows_at[bottleneck].len() {
                 let p = self.flows_at[bottleneck][fp] as usize;
                 if self.assigned[p] {
                     continue;
                 }
-                self.rate[p] = share;
+                self.rate[p] = level;
                 self.assigned[p] = true;
                 unassigned -= 1;
                 for l in &flows[active[p]].route {
                     let idx = l.index();
-                    self.cap[idx] = (self.cap[idx] - share).max(0.0);
+                    self.cap[idx] = (self.cap[idx] - level).max(0.0);
                     self.count[idx] -= 1;
+                    if self.count[idx] == 0 {
+                        continue;
+                    }
+                    let before = self.share[idx];
+                    let share = self.cap[idx] / self.count[idx] as f64;
+                    self.share[idx] = share;
+                    if share < level {
+                        rescan = true;
+                    } else if share == level && before != level {
+                        self.level_set.push(Reverse(self.pos_of[idx]));
+                    }
                 }
             }
         }
@@ -326,6 +388,38 @@ impl ContentionSim {
             / self.link_bandwidth
     }
 
+    /// Admissible lower bound on `simulate(flows).makespan`, without the
+    /// fluid event loop: the larger of every flow's contention-free
+    /// store-and-forward time and, per link, the drain volume
+    /// `Σ bytes · hops` of the flows crossing it over the link bandwidth
+    /// plus one hop latency (the least a routed flow is charged). The
+    /// rates on a link sum to at most its bandwidth, so no link can drain
+    /// its flows faster. The bound is exact arithmetic's; the fluid loop's
+    /// rounding can land the makespan an ulp or so below it, so callers
+    /// that skip a simulation on it discount it by
+    /// [`LOWER_BOUND_SLACK`] first.
+    pub fn makespan_lower_bound(&self, flows: &[Flow]) -> f64 {
+        let mut volume: Vec<f64> = Vec::new();
+        let mut bound = 0.0f64;
+        for f in flows {
+            if f.route.is_empty() {
+                continue;
+            }
+            let drain = f.bytes.max(0.0) * f.hops() as f64;
+            bound = bound.max(drain / self.link_bandwidth + f.hops() as f64 * self.hop_latency);
+            for l in &f.route {
+                let idx = l.index();
+                if idx >= volume.len() {
+                    volume.resize(idx + 1, 0.0);
+                }
+                volume[idx] += drain;
+            }
+        }
+        volume.iter().filter(|v| **v > 0.0).fold(bound, |b, v| {
+            b.max(v / self.link_bandwidth + self.hop_latency)
+        })
+    }
+
     /// Runs all flows concurrently under max–min fair sharing.
     ///
     /// Progressive-filling algorithm: repeatedly compute each active flow's
@@ -346,7 +440,7 @@ impl ContentionSim {
     /// As [`ContentionSim::simulate`] but computing fair rates with the
     /// original `HashMap`-keyed water-filling. Retained as the reference
     /// implementation the dense fast path is regression-tested against
-    /// (see `tests/two_tier.rs`); not intended for production use.
+    /// (see `tests/properties.rs`); not intended for production use.
     pub fn simulate_reference(&self, flows: &[Flow]) -> ContentionReport {
         self.run(flows, true)
     }
@@ -419,10 +513,7 @@ impl ContentionSim {
             completion[i] += f.hops() as f64 * self.hop_latency;
         }
         let link_bytes = self.link_loads(flows);
-        let max_loaded_link = link_bytes
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-            .map(|(l, b)| (*l, *b));
+        let max_loaded_link = max_loaded_link(&link_bytes);
         let makespan = completion.iter().fold(0.0f64, |a, b| a.max(*b));
         ContentionReport {
             completion,
@@ -634,6 +725,16 @@ impl ContentionSim {
     }
 }
 
+/// The most-loaded link of a load map, ties to the lowest [`LinkId`] so
+/// the answer does not depend on `HashMap` iteration order.
+fn max_loaded_link(link_bytes: &HashMap<LinkId, f64>) -> Option<(LinkId, f64)> {
+    link_bytes.iter().map(|(l, b)| (*l, *b)).max_by(|a, b| {
+        a.1.partial_cmp(&b.1)
+            .expect("finite loads")
+            .then(b.0.cmp(&a.0))
+    })
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
@@ -707,10 +808,7 @@ impl WarmStart {
         let makespan = completion.iter().fold(0.0f64, |a, b| a.max(*b));
         let link_bytes: HashMap<LinkId, f64> =
             self.link_bytes.iter().map(|&(l, b)| (l, b * s)).collect();
-        let max_loaded_link = link_bytes
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-            .map(|(l, b)| (*l, *b));
+        let max_loaded_link = max_loaded_link(&link_bytes);
         ContentionReport {
             completion,
             makespan,
@@ -862,6 +960,26 @@ mod tests {
         let f2 = Flow::xy(&mesh, DieId(1), DieId(3), 10.0 * MB);
         let lb = sim.congestion_lower_bound(&[f1, f2]);
         assert!((lb - 20.0 * MB / sim.link_bandwidth).abs() < 1e-12);
+    }
+
+    #[test]
+    fn makespan_lower_bound_is_tight_alone_and_on_a_shared_link() {
+        let (mesh, sim) = setup();
+        // A lone flow: the store-and-forward term is its exact makespan.
+        let f = Flow::xy(&mesh, DieId(0), DieId(5), 48.0 * MB);
+        let solo = sim.simulate(std::slice::from_ref(&f)).makespan;
+        assert_eq!(sim.makespan_lower_bound(std::slice::from_ref(&f)), solo);
+        // Three one-hop flows on one link: the link term drains them all.
+        let flows: Vec<Flow> = (0..3)
+            .map(|_| Flow::xy(&mesh, DieId(0), DieId(1), 30.0 * MB))
+            .collect();
+        let expected = 3.0 * 30.0 * MB / sim.link_bandwidth + sim.hop_latency;
+        assert!((sim.makespan_lower_bound(&flows) - expected).abs() <= 1e-12 * expected);
+        // Contended multi-hop traffic: below the simulated makespan.
+        let mix = contended_mix(&mesh, 1.0);
+        let bound = sim.makespan_lower_bound(&mix);
+        assert!(bound * (1.0 - LOWER_BOUND_SLACK) <= sim.simulate(&mix).makespan);
+        assert_eq!(sim.makespan_lower_bound(&[]), 0.0);
     }
 
     #[test]
